@@ -332,13 +332,20 @@ def em_f4(a, t):
 
 def scan_columns(x_max, step):
     """Column arrays (x, count, pi_x, R, R_scaled) at x = step, 2 step, ...
-    <= x_max, counting through a cumulative r2 sieve."""
+    <= x_max, counting through a cumulative r2 sieve.
+
+    Row k counts at the integer floor(k s), s the decimal value of `step`,
+    so a float x that falls just below an integer still counts the points
+    on that circle."""
     if x_max < 1 or step <= 0:
         raise ValueError("need x_max >= 1 and step > 0")
-    k = np.arange(1, int(math.floor(x_max / step)) + 1, dtype=np.float64)
-    x = k * step
-    cum = np.cumsum(r2_table(int(math.floor(x[-1]))))
-    counts = cum[np.floor(x).astype(np.int64)]
+    s = Fraction(str(step))
+    p, q = s.numerator, s.denominator
+    rows = math.floor(Fraction(str(x_max)) / s)
+    x = np.arange(1, rows + 1, dtype=np.float64) * step
+    # Python ints where k*p could pass int64 (steps with many digits)
+    k = np.arange(1, rows + 1, dtype=np.int64 if rows * p < 2**63 else object)
+    counts = np.cumsum(r2_table(rows * p // q))[(k * p // q).astype(np.int64, copy=False)]
     pi_x = math.pi * x
     R = counts - pi_x
     return x, counts, pi_x, R, R / x ** 0.25

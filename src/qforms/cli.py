@@ -136,7 +136,11 @@ def _count_rows(args, lo, hi):
                 repcount.FormSpec.triangular_sum(m, N, "lattice" if method == "closed" else args.domain), hi)
             if method == "closed" and m % 2 == 1 and N == 4:
                 # the odd-m closed form carries 1/16 of the lattice count
-                return RepScaled(table, 16)
+                for n in range(lo, hi + 1):
+                    if table.count(n) % 16:
+                        raise VerifyMismatch(f"lattice count {table.count(n)} at n={n} is not divisible by 16")
+                counts = tuple(c // 16 for c in table.counts)
+                return repcount.RepTable(table.spec, table.n_range, counts, "oracle")
             return table
     elif fam == "power":
         method = "closed"
@@ -145,7 +149,7 @@ def _count_rows(args, lo, hi):
 
         def oracle():
             counts = [_power_oracle(args.nu, n) for n in range(hi + 1)]
-            return _PlainTable(counts)
+            return repcount.RepTable(spec, range(hi + 1), tuple(counts), "oracle")
     elif fam == "cubic":
         method = "closed"
         vals = [repcount.cubic_count(n) for n in range(lo, hi + 1)]
@@ -153,7 +157,7 @@ def _count_rows(args, lo, hi):
 
         def oracle():
             counts = [0] + [repcount.oracle_odd_power_pairs(3, n, "integer") for n in range(1, hi + 1)]
-            return _PlainTable(counts)
+            return repcount.RepTable(spec, range(hi + 1), tuple(counts), "oracle")
     elif fam == "quintic":
         method = args.variant
         vals = [repcount.quintic_count(n, args.variant) for n in range(lo, hi + 1)]
@@ -161,7 +165,7 @@ def _count_rows(args, lo, hi):
 
         def oracle():
             counts = [1] + [repcount.oracle_odd_power_pairs(5, n, "nonneg") for n in range(1, hi + 1)]
-            return _PlainTable(counts)
+            return repcount.RepTable(spec, range(hi + 1), tuple(counts), "oracle")
     elif fam == "expmethod":
         if not args.terms:
             raise ValueError("expmethod needs --terms")
@@ -182,27 +186,6 @@ def _count_rows(args, lo, hi):
                 raise VerifyMismatch(f"{fam}: value {v} at n={n} but oracle gives {want}")
     rows = [(n, v, method) for n, v in zip(range(lo, hi + 1), vals)]
     return spec, rows, method
-
-
-class _PlainTable:
-    def __init__(self, counts):
-        self.counts = counts
-
-    def count(self, n):
-        return self.counts[n]
-
-
-class RepScaled:
-    """Oracle table whose counts are a fixed multiple of the checked form."""
-
-    def __init__(self, table, factor):
-        self.table, self.factor = table, factor
-
-    def count(self, n):
-        full = self.table.count(n)
-        if full % self.factor:
-            raise VerifyMismatch(f"lattice count {full} at n={n} is not divisible by {self.factor}")
-        return full // self.factor
 
 
 def _power_oracle(nu, n):
@@ -426,7 +409,6 @@ def _build_parser():
     pci.add_argument("op", choices=("scan", "hardy", "rexp", "fresnel", "dm"))
     pci.add_argument("--xmax", type=float, default=100.0)
     pci.add_argument("--step", type=float, default=1.0)
-    pci.add_argument("--delta", type=float, default=0.1)
     pci.add_argument("--x", type=float, default=2.5)
     pci.add_argument("--N", type=int, default=1)
     pci.add_argument("--z", type=float, default=1.0)

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import arith
 from .arith import ODD, ODD_SIGNED, divisor_sum, divisors, residue
-from .series import HalfLaurentSeries, exp_neg
+from .series import HalfLaurentSeries, _sqrt_unit, convolve, exp_neg, power
 from . import theta
 
 
@@ -142,45 +140,24 @@ def _r2_list(n_max):
     return [r2(n) for n in range(n_max + 1)]
 
 
-def _int_sqrt_list(f):
-    """Exact coefficientwise square root of an integer series with f[0] = 1."""
-    if f[0] != 1:
-        raise ValueError("square-root pass requires constant term 1")
-    n = len(f)
-    g = [0] * n
-    g[0] = 1
-    for t in range(1, n):
-        acc = f[t]
-        for k in range(1, t):
-            gk = g[k]
-            if gk:
-                gt = g[t - k]
-                if gt:
-                    acc -= gk * gt
-        if acc % 2:
-            raise ValueError("square-root pass hit an odd coefficient")
-        g[t] = acc // 2
-    return g
-
-
 def _bucket(n):
     return max(16, 1 << int(n).bit_length())
 
 
 @lru_cache(maxsize=64)
-def _two_form_counts(A, B, n_max):
+def _diagonal_counts(coeffs, n_max):
+    """Counts of sum A_k x_k^2 = n for n <= n_max: the square root of the
+    product of the stretched two-square series sum r2(m) q^(A_k m)."""
     r2s = _r2_list(n_max)
-    f = [0] * (n_max + 1)
-    for k in range(0, n_max // A + 1):
-        a = r2s[k]
-        if not a:
-            continue
-        base = A * k
-        for l in range(0, (n_max - base) // B + 1):
-            b = r2s[l]
-            if b:
-                f[base + B * l] += a * b
-    return tuple(_int_sqrt_list(f))
+    f = None
+    for a in coeffs:
+        stretched = [0] * (n_max + 1)
+        stretched[::a] = r2s[: n_max // a + 1]
+        f = stretched if f is None else convolve(f, stretched, n_max + 1)
+    counts = _sqrt_unit(f)
+    if any(type(c) is not int for c in counts):
+        raise ArithmeticError("square-root transform produced a non-integer count")
+    return tuple(counts)
 
 
 def two_form_table(A, B, n_max):
@@ -189,7 +166,7 @@ def two_form_table(A, B, n_max):
         raise ValueError("coefficients must be >= 1")
     if math.gcd(A, B) != 1:
         raise ValueError("two-square transform requires gcd(A, B) = 1")
-    counts = _two_form_counts(A, B, _bucket(n_max))[: n_max + 1]
+    counts = _diagonal_counts((A, B), _bucket(n_max))[: n_max + 1]
     return RepTable(FormSpec.two_form(A, B), range(n_max + 1), counts, "transform")
 
 
@@ -209,14 +186,8 @@ def count_diagonal(coeffs, n_max):
         g = math.gcd(g, a)
     if g != 1:
         raise ValueError("diagonal transform requires gcd of coefficients 1")
-    r2s = np.array(_r2_list(n_max), dtype=np.int64)
-    f = None
-    for a in coeffs:
-        stretched = np.zeros(n_max + 1, dtype=np.int64)
-        stretched[:: a] = r2s[: (n_max // a) + 1]
-        f = stretched if f is None else np.convolve(f, stretched)[: n_max + 1]
-    counts = _int_sqrt_list([int(v) for v in f])
-    return RepTable(FormSpec.diagonal(coeffs), range(n_max + 1), tuple(counts), "transform")
+    counts = _diagonal_counts(tuple(coeffs), n_max)
+    return RepTable(FormSpec.diagonal(coeffs), range(n_max + 1), counts, "transform")
 
 
 def count_affine(A, B, C, D, E, n):
@@ -402,16 +373,8 @@ def tri_count(m, N, n_max, convention="lattice"):
         one = HalfLaurentSeries.from_terms(terms, 2 * order_q)
     else:
         raise ValueError("convention must be 'lattice' or 'nonneg'")
-    base = one.base
-    arr = np.array([int(c) for c in one.coeffs], dtype=np.int64)
-    prod, pbase = arr, base
-    for _ in range(N - 1):
-        prod = np.convolve(prod, arr)
-        pbase += base
-    counts = []
-    for n in range(n_max + 1):
-        idx = 2 * n - pbase
-        counts.append(int(prod[idx]) if 0 <= idx < len(prod) else 0)
+    pbase = N * one.base  # half-unit exponent of the product's first coefficient
+    counts = power(one.coeffs, N, 2 * n_max - pbase + 1)[-pbase::2]
     spec = FormSpec.triangular_sum(m, N, convention)
     return RepTable(spec, range(n_max + 1), tuple(counts), "series")
 
@@ -441,16 +404,10 @@ def tri_reduce(m, N, n):
 
 @lru_cache(maxsize=32)
 def _rN_counts(N, n_max):
-    arr = np.zeros(n_max + 1, dtype=np.int64)
-    arr[0] = 1
-    i = 1
-    while i * i <= n_max:
-        arr[i * i] = 2
-        i += 1
-    prod = arr
-    for _ in range(N - 1):
-        prod = np.convolve(prod, arr)[: n_max + 1]
-    return tuple(int(v) for v in prod)
+    theta3 = [0] * (n_max + 1)
+    for i in range(math.isqrt(n_max) + 1):
+        theta3[i * i] = 2 if i else 1
+    return tuple(power(theta3, N, n_max + 1))
 
 
 def r_N_squares(N, n_max):

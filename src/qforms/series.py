@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 
 def _norm(v):
@@ -31,6 +32,59 @@ def _div(v, n):
         q, r = divmod(v, n)
         return q if r == 0 else Fraction(v, n)
     return _norm(v / n)
+
+
+def _integral(coeffs):
+    """(d, coefficients times d) for d the least common denominator."""
+    d = math.lcm(*(c.denominator for c in coeffs if type(c) is not int))
+    return d, coeffs if d == 1 else [int(c * d) for c in coeffs]
+
+
+def convolve(f, g, n):
+    """First n coefficients of f*g for integer coefficient lists f and g.
+
+    Kronecker substitution (D. Harvey, JSC 2009): each list is packed into
+    one Python int with a w-byte slot per coefficient, one big-int multiply
+    forms the product, and the slots are read back.  No coefficient of f*g
+    exceeds |f|_1 |g|_1 in absolute value, so with 2^(8w-1) above that
+    bound every slot holds its value plus the offset 2^(8w-1) without
+    carrying into the next: the result is exact at every size.
+    """
+    square = f is g
+    f, g = f[:n], g[:n]
+    bound = sum(map(abs, f)) * sum(map(abs, g))
+    if not bound:
+        return [0] * n
+    w = bound.bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)
+    slot = half.to_bytes(w, "little")
+
+    def pack(c):
+        data = bytearray(slot * len(c))  # a zero coefficient is its bare offset
+        for i, v in enumerate(c):
+            if v:
+                data[i * w : i * w + w] = (v + half).to_bytes(w, "little")
+        return int.from_bytes(data, "little") - int.from_bytes(slot * len(c), "little")
+
+    packed = pack(f)
+    prod = packed * (packed if square else pack(g)) + int.from_bytes(slot * n, "little")
+    data = (prod & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    slots = (data[i : i + w] for i in range(0, w * n, w))
+    return [v - half for v in map(int.from_bytes, slots, repeat("little"))]
+
+
+def power(f, N, n):
+    """First n coefficients of f^N (N >= 1), by square-and-multiply over convolve."""
+    if N < 1:
+        raise ValueError("power requires N >= 1")
+    acc = None
+    while True:
+        if N & 1:
+            acc = f if acc is None else convolve(acc, f, n)
+        N >>= 1
+        if not N:
+            return list(acc[:n]) + [0] * (n - len(acc))
+        f = convolve(f, f, n)
 
 
 class HalfLaurentSeries:
@@ -172,22 +226,11 @@ class HalfLaurentSeries:
             return NotImplemented
         base = self.base + other.base
         order = min(self.order + other.base, other.order + self.base)
-        n = order - base
-        if n <= 0:
-            return HalfLaurentSeries.zero(order)
-        out = [0] * n
-        # iterate the sparser factor outside
-        f, g = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        gnz = [(j, c) for j, c in enumerate(g.coeffs) if c]
-        for i, ci in enumerate(f.coeffs):
-            if not ci:
-                continue
-            room = n - i
-            for j, cj in gnz:
-                if j >= room:
-                    break
-                out[i + j] = out[i + j] + ci * cj
-        return HalfLaurentSeries(base, out, order)
+        df, f = _integral(self.coeffs)
+        dg, g = (df, f) if other is self else _integral(other.coeffs)
+        d = df * dg
+        out = convolve(f, g, order - base)
+        return HalfLaurentSeries(base, out if d == 1 else [_div(c, d) for c in out], order)
 
     __rmul__ = __mul__
 

@@ -334,6 +334,44 @@ def test_r_N_squares_two_is_r2():
         assert t.count(n) == r2(n)
 
 
+# -- high rank: counts past 2^63 ----------------------------------------------------------------------
+
+
+def _multiplicities(values, n_max):
+    out = [0] * (n_max + 1)
+    for v in values:
+        if 0 <= v <= n_max:
+            out[v] += 1
+    return out
+
+
+def _python_int_power(base, N):
+    """base^N truncated to len(base), by repeated Python-int convolution."""
+    out = base
+    for _ in range(N - 1):
+        out = [sum(out[k] * base[n - k] for k in range(n + 1)) for n in range(len(base))]
+    return out
+
+
+def _r2_by_lattice(n_max):
+    return _multiplicities((x * x + y * y for x in range(-15, 16) for y in range(-15, 16)), n_max)
+
+
+@pytest.mark.parametrize("N", [24, 32])
+def test_r_N_squares_exact_past_int64(N):
+    assert list(r_N_squares(N, 200).counts) == _python_int_power(_r2_by_lattice(200), N // 2)
+
+
+def test_count_diagonal_exact_past_int64():
+    assert list(count_diagonal([1] * 24, 200).counts) == _python_int_power(_r2_by_lattice(200), 12)
+
+
+def test_tri_count_exact_past_int64():
+    t1 = _multiplicities((x * (x + 1) // 2 for x in range(-21, 21)), 200)
+    assert list(tri_count(1, 32, 200).counts) == _python_int_power(t1, 32)
+    assert min(tri_count(1, 40, 60).counts) >= 0
+
+
 # -- closed triangular counts ----------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qforms.series import HalfLaurentSeries, exp_neg, sqrt_coeff_fdb
+from qforms.series import HalfLaurentSeries, convolve, exp_neg, power, sqrt_coeff_fdb
 from qforms import theta
 
 S = HalfLaurentSeries
@@ -120,6 +120,72 @@ def test_mul_order_propagation_minkowski():
     f = S(0, [1, 1, 1], 3)
     g = S(2, [1, 1, 1, 1, 1], 7)
     assert (f * g).order == min(3 + 2, 7 + 0)
+
+
+def _schoolbook(f, g, n):
+    out = [0] * n
+    for i, a in enumerate(f[:n]):
+        for j, b in enumerate(g[: n - i]):
+            out[i + j] += a * b
+    return out
+
+
+BIG = 2**63
+
+
+@pytest.mark.parametrize("f,g,n", [
+    ([], [1, 2], 3),
+    ([0, 0, 0], [5, -7], 4),
+    ([3], [-4], 1),
+    ([3], [-4, 5], 6),  # n longer than the product
+    ([1, -2, 3, -4], [5, 6, -7], 2),  # n shorter than the inputs
+    ([1, 2], [3], 0),
+    ([127], [1], 1),  # slot-width boundaries: |f|_1 |g|_1 = 127 and 128
+    ([-127], [1], 1),
+    ([-128], [1], 1),
+    ([128], [1], 2),
+    ([64, -64], [-1, 1], 3),
+    ([BIG, -BIG - 1, 1], [BIG + 5, 2, -BIG], 6),
+    ([-(BIG ** 3), 0, 7], [-3, BIG], 4),
+])
+def test_convolve_matches_schoolbook(f, g, n):
+    assert convolve(f, g, n) == _schoolbook(f, g, n)
+    assert convolve(f, f, n) == _schoolbook(f, f, n)
+
+
+def test_convolve_random_signed_and_wide():
+    rng = random.Random(13)
+    for _ in range(200):
+        top = rng.choice((3, 2**40, BIG, 2**200))
+        f = [rng.randint(-top, top) for _ in range(rng.randint(0, 30))]
+        g = [rng.randint(-top, top) for _ in range(rng.randint(0, 30))]
+        n = rng.randint(0, 70)
+        assert convolve(f, g, n) == _schoolbook(f, g, n), (f, g, n)
+
+
+def test_power_matches_repeated_products():
+    rng = random.Random(14)
+    for N in (1, 2, 3, 5, 8, 13):
+        f = [rng.randint(-5, 5) for _ in range(rng.randint(1, 20))]
+        n = rng.randint(1, 30)
+        want = f[:n] + [0] * (n - len(f))
+        for _ in range(N - 1):
+            want = _schoolbook(want, f, n)
+        assert power(f, N, n) == want, (f, N, n)
+    with pytest.raises(ValueError):
+        power([1], 0, 4)
+
+
+def test_mul_fraction_series_matches_schoolbook():
+    rng = random.Random(15)
+    for _ in range(20):
+        fc = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(15)]
+        gc = [Fraction(rng.randint(-BIG, BIG), rng.randint(1, 7)) for _ in range(12)] + [rng.randint(-4, 4)]
+        f, g = S(-3, fc, 12), S(1, gc, 14)
+        h = f * g
+        assert (h.base, h.order) == (-2, 11)
+        assert list(h.coeffs) == _schoolbook(fc, gc, 13)
+        assert list((f * f).coeffs) == _schoolbook(fc, fc, 15)
 
 
 # -- sqrt -------------------------------------------------------------------
