@@ -332,26 +332,15 @@ def em_f4(a, t):
 
 def scan_columns(x_max, step):
     """Column arrays (x, count, pi_x, R, R_scaled) at x = step, 2 step, ...
-    <= x_max, counting through a cumulative r2 sieve.
-
-    A `Fraction` step counts row k at the integer floor(k step), so
-    Fraction("0.7") counts the points on the circle of radius^2 245 at
-    k = 350. A float step counts at the floor of the float x = k step,
-    which can fall just below an integer (350 * 0.7 is
-    244.99999999999997). The x column is the float k step either way."""
+    <= x_max, counting through a cumulative r2 sieve."""
     if x_max < 1 or step <= 0:
         raise ValueError("need x_max >= 1 and step > 0")
-    if isinstance(step, Fraction):
-        p, q = step.numerator, step.denominator
-        rows = math.floor(Fraction(str(x_max)) / step)
-        x = np.arange(1, rows + 1, dtype=np.float64) * float(step)
-        # Python ints where k*p could pass int64 (steps with many digits)
-        k = np.arange(1, rows + 1, dtype=np.int64 if rows * p < 2**63 else object)
-        top, at = rows * p // q, (k * p // q).astype(np.int64, copy=False)
-    else:
-        x = np.arange(1, int(math.floor(x_max / step)) + 1, dtype=np.float64) * step
-        top, at = int(math.floor(x[-1])), np.floor(x).astype(np.int64)
-    counts = np.cumsum(r2_table(top))[at]
+    if step > x_max:
+        raise ValueError(f"step {step} exceeds x_max {x_max}: the scan has no rows")
+    k = np.arange(1, int(math.floor(x_max / step)) + 1, dtype=np.float64)
+    x = k * step
+    cum = np.cumsum(r2_table(int(math.floor(x[-1]))))
+    counts = cum[np.floor(x).astype(np.int64)]
     pi_x = math.pi * x
     R = counts - pi_x
     return x, counts, pi_x, R, R / x ** 0.25

@@ -309,7 +309,7 @@ def _trunc(args):
 def _circle_rows(args):
     sub = args.op
     if sub == "scan":
-        x, counts, pi_x, R, Rs = circle.scan_columns(args.xmax, Fraction(str(args.step)))
+        x, counts, pi_x, R, Rs = circle.scan_columns(args.xmax, args.step)
         rows = [(float(a), int(b), float(c), float(d), float(e))
                 for a, b, c, d, e in zip(x, counts, pi_x, R, Rs)]
         spec = {"circle": "scan", "xmax": args.xmax, "step": args.step}

