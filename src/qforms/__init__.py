@@ -32,7 +32,7 @@ from .repcount import (
     tri_N_closed,
     s_m,
     r_N_squares,
-    r3_closed,
+    r3,
     r4_closed,
     exp_method_count,
 )

@@ -197,19 +197,17 @@ def _poly_eval(coeffs, x):
 
 
 def _iroot(t, nu):
-    """Floor of the nu-th root of t >= 0."""
-    if t < 2:
-        return t
-    if nu == 1:
+    """Floor of the nu-th root of t >= 0, by integer Newton iteration from above."""
+    if t < 2 or nu == 1:
         return t
     if nu == 2:
         return math.isqrt(t)
-    r = int(round(t ** (1.0 / nu)))
-    while r > 0 and r**nu > t:
-        r -= 1
-    while (r + 1) ** nu <= t:
-        r += 1
-    return r
+    r = 1 << -(-t.bit_length() // nu)
+    while True:
+        s = ((nu - 1) * r + t // r ** (nu - 1)) // nu
+        if s >= r:
+            return r
+        r = s
 
 
 def reduced_forms(D):
@@ -222,9 +220,7 @@ def reduced_forms(D):
     forms = []
     amax = math.isqrt(-D // 3)
     for a in range(1, amax + 1):
-        for b in range(-a, a + 1):
-            if (b - D) % 2 != 0:
-                continue
+        for b in range(-a + (a + D) % 2, a + 1, 2):
             num = b * b - D
             if num % (4 * a) != 0:
                 continue

@@ -148,7 +148,7 @@ def _count_rows(args, lo, hi):
         spec = {"family": "power", "nu": args.nu}
 
         def oracle():
-            counts = [_power_oracle(args.nu, n) for n in range(hi + 1)]
+            counts = [repcount.oracle_odd_power_pairs(args.nu, n, "nonneg") for n in range(hi + 1)]
             return repcount.RepTable(spec, range(hi + 1), tuple(counts), "oracle")
     elif fam == "cubic":
         method = "closed"
@@ -164,7 +164,7 @@ def _count_rows(args, lo, hi):
         spec = {"family": "quintic", "variant": args.variant}
 
         def oracle():
-            counts = [1] + [repcount.oracle_odd_power_pairs(5, n, "nonneg") for n in range(1, hi + 1)]
+            counts = [repcount.oracle_odd_power_pairs(5, n, "nonneg") for n in range(hi + 1)]
             return repcount.RepTable(spec, range(hi + 1), tuple(counts), "oracle")
     elif fam == "expmethod":
         if not args.terms:
@@ -186,16 +186,6 @@ def _count_rows(args, lo, hi):
                 raise VerifyMismatch(f"{fam}: value {v} at n={n} but oracle gives {want}")
     rows = [(n, v, method) for n, v in zip(range(lo, hi + 1), vals)]
     return spec, rows, method
-
-
-def _power_oracle(nu, n):
-    """Ordered nonnegative pairs x^nu + y^nu = n by direct enumeration."""
-    total = 0
-    x = 0
-    while x**nu <= n:
-        total += arith.power_indicator(nu, n - x**nu)
-        x += 1
-    return total
 
 
 # -- table -----------------------------------------------------------------

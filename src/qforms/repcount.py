@@ -270,12 +270,14 @@ def count_power_sum(kind, n):
 
 
 def oracle_odd_power_pairs(nu, n, domain="integer"):
-    """Ordered pairs with x^nu + y^nu = n by direct enumeration."""
-    if nu < 3 or nu % 2 == 0:
-        raise ValueError("nu must be odd and >= 3")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Ordered pairs with x^nu + y^nu = n by direct enumeration.
+
+    'integer' counts integer pairs for odd nu >= 3 and n >= 1; 'nonneg'
+    counts nonnegative pairs for any nu >= 1 and n >= 0.
+    """
     if domain == "nonneg":
+        if nu < 1 or n < 0:
+            raise ValueError("nonneg pairs need nu >= 1 and n >= 0")
         count = 0
         x = 0
         while x**nu <= n:
@@ -287,10 +289,14 @@ def oracle_odd_power_pairs(nu, n, domain="integer"):
         return count
     if domain != "integer":
         raise ValueError("domain must be 'integer' or 'nonneg'")
+    if nu < 3 or nu % 2 == 0:
+        raise ValueError("nu must be odd and >= 3")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if nu == 3:
         bound = math.isqrt(4 * n // 3) + 2
     else:
-        bound = int(round((4 * n) ** (1.0 / (nu - 1)))) + 2
+        bound = arith._iroot(4 * n, nu - 1) + 2
     count = 0
     for x in range(-bound, bound + 1):
         rest = n - x**nu
@@ -447,51 +453,36 @@ def r4_closed(n):
     return 24 * divisor_sum(n, 1, ODD)
 
 
-def _squarefree(n):
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+def _hurwitz6(M):
+    """6 H(M) for M > 0, H the Hurwitz class number: the sum of
+    h(-M/f^2) * 12/w over the f with f^2 | M and -M/f^2 = 0 or 1 (mod 4),
+    where w = 6 at D = -3, 4 at D = -4 and 2 otherwise."""
+    total = 0
+    for f in range(1, math.isqrt(M) + 1):
+        D = -M // (f * f)
+        if M % (f * f) == 0 and D % 4 in (0, 1):
+            total += arith.class_number(D) * {-3: 2, -4: 3}.get(D, 6)
+    return total
 
 
-_R3_TABLE = {1: 6, 2: 12, 3: 8}
+def r3(n):
+    """r_3(n) by Hurwitz class numbers, for every n >= 0.
 
-
-def r3_closed(n):
-    """r_3(n) by class numbers, on its validated domain.
-
-    Validated: after removing factors of 4, the residual is 1, 2 or 3
-    (tabled), is 7 mod 8 (zero), or is squarefree (class-number formula).
-    Anything else raises, signalling fallback to the theta3^3 series.
+    With n = 4^k m and 4 not dividing m: 0 when m = 7 (mod 8), 24 H(m)
+    when m = 3 (mod 8), else 12 H(4m) (Gauss).
     """
     if n < 0:
-        raise ValueError("r3_closed requires n >= 0")
+        raise ValueError("r3 requires n >= 0")
     if n == 0:
         return 1
     m = n
     while m % 4 == 0:
         m //= 4
-    if m in _R3_TABLE:
-        return _R3_TABLE[m]
     if m % 8 == 7:
         return 0
-    if not _squarefree(m):
-        raise ValueError(
-            f"r3 closed form validated only for squarefree residuals: {n} reduces to {m}"
-        )
     if m % 8 == 3:
-        return 24 * arith.class_number(-m)
-    return 12 * arith.class_number(-4 * m)
-
-
-def r3(n):
-    """r_3(n): class-number closed form with series fallback."""
-    try:
-        return r3_closed(n)
-    except ValueError:
-        return r_N_squares(3, _bucket(n)).counts[n]
+        return 4 * _hurwitz6(m)
+    return 2 * _hurwitz6(4 * m)
 
 
 def tri_N_closed(m, N, n):
@@ -515,17 +506,6 @@ def tri_N_closed(m, N, n):
         p = m // 2
         return r3(2 * n + 3 * p * p)
     raise ValueError("closed forms cover N in {3, 4} only")
-
-
-def tri_N_closed_strict(m, N, n):
-    """Like tri_N_closed but never falls back to the series for r_3."""
-    if N == 3:
-        if m % 2 == 1:
-            raise ValueError("no closed three-variable form for odd m")
-        p = m // 2
-        arg = 2 * n + 3 * p * p
-        return r3_closed(arg) if arg else 1
-    return tri_N_closed(m, N, n)
 
 
 # -- exp-transform route ---------------------------------------------------

@@ -116,6 +116,18 @@ def test_power_indicator_counts_zero():
     assert indicator(("power", 5), 32) == 1
 
 
+def test_iroot_brackets_the_root():
+    for nu in (3, 4, 5, 7):
+        for t in range(100000):
+            r = arith._iroot(t, nu)
+            assert r**nu <= t < (r + 1) ** nu, (t, nu)
+
+
+def test_power_indicator_exact_past_float_range():
+    assert arith.power_indicator(3, (10**30 + 7) ** 3) == 1
+    assert arith.power_indicator(3, 10**400) == 0
+
+
 def test_poly_indicator():
     # A(m) = 1 + m + m^2 hits 1, 3, 7, 13, ...
     assert indicator(("poly", (1, 1, 1)), 7) == 1

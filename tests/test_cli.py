@@ -108,6 +108,8 @@ def test_verified_paths_exit_0():
         ["count", "tri", "--m", "2", "--vars", "3", "--n", "0..30", "--verify", "oracle"],
         ["count", "tri", "--m", "3", "--vars", "4", "--method", "closed",
          "--n", "0..30", "--verify", "oracle"],
+        ["count", "tri", "--m", "2", "--vars", "3", "--method", "closed",
+         "--n", "0..60", "--verify", "oracle"],
         ["count", "power", "--nu", "4", "--n", "0..200", "--verify", "oracle"],
         ["count", "cubic", "--n", "1..200", "--verify", "oracle"],
         ["count", "quintic", "--n", "1..200", "--verify", "oracle"],

@@ -1,17 +1,17 @@
 """Representation counts: closed forms against brute-force oracles."""
 
+import math
 import random
 
 import pytest
 
-from qforms import arith
+from qforms import arith, repcount
 from qforms.repcount import (FormSpec, RepTable, count_affine, count_diagonal,
                              count_poly_composed, count_power_sum,
                              count_two_form, cubic_count, exp_method_count,
                              oracle_count, oracle_odd_power_pairs,
-                             quintic_count, r2, r3, r3_closed, r4_closed,
-                             r_N_squares, s_m, tri_count, tri_N_closed,
-                             tri_N_closed_strict, tri_reduce)
+                             quintic_count, r2, r3, r4_closed, r_N_squares,
+                             s_m, tri_count, tri_N_closed, tri_reduce)
 
 
 # -- FormSpec / RepTable ------------------------------------------------------
@@ -233,6 +233,13 @@ def test_oracle_odd_power_pairs_domains():
     assert oracle_odd_power_pairs(3, 9, "integer") == 2
     assert oracle_odd_power_pairs(5, 31, "integer") == 2
     assert oracle_odd_power_pairs(5, 31, "nonneg") == 0
+    assert oracle_odd_power_pairs(4, 17, "nonneg") == 2
+    assert oracle_odd_power_pairs(4, 0, "nonneg") == 1
+    assert oracle_odd_power_pairs(5, 0, "nonneg") == 1
+    with pytest.raises(ValueError):
+        oracle_odd_power_pairs(4, 17, "integer")
+    with pytest.raises(ValueError):
+        oracle_odd_power_pairs(3, 0, "integer")
 
 
 # -- triangular families -----------------------------------------------------------------------
@@ -302,24 +309,36 @@ def test_r4_matches_series():
         assert r4_closed(n) == t.count(n)
 
 
-def test_r3_closed_values():
-    assert r3_closed(5) == 24
-    assert r3_closed(5) == 12 * arith.class_number(-20)
-    assert r3_closed(19) == 24
-    assert r3_closed(19) == 24 * arith.class_number(-19)
+def test_r3_values():
+    assert r3(5) == 24
+    assert r3(5) == 12 * arith.class_number(-20)
+    assert r3(19) == 24
+    assert r3(19) == 24 * arith.class_number(-19)
 
 
-def test_r3_closed_base_cases_and_reduction():
-    assert r3_closed(1) == 6
-    assert r3_closed(2) == 12
-    assert r3_closed(3) == 8
-    assert r3_closed(4) == 6  # reduces by the factor 4
-    assert r3_closed(7) == 0  # 7 mod 8
+def test_r3_base_cases_and_reduction():
+    assert r3(1) == 6
+    assert r3(2) == 12
+    assert r3(3) == 8
+    assert r3(4) == 6  # reduces by the factor 4
+    assert r3(7) == 0  # 7 mod 8
 
 
-def test_r3_closed_raises_outside_validated_domain():
-    with pytest.raises(ValueError):
-        r3_closed(27)  # residual 27 is not squarefree
+def test_r3_never_takes_the_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("r3 reached the theta series")
+
+    o = oracle_count(FormSpec.diagonal((1, 1, 1)), 1500)
+    monkeypatch.setattr(repcount, "r_N_squares", refuse)
+    monkeypatch.setattr(repcount, "power", refuse)
+    for n in range(1501):
+        assert r3(n) == o.count(n), n
+
+
+def test_r3_at_large_non_squarefree_residuals():
+    for n in (131067, 4**8 * 27):
+        direct = sum((2 if z else 1) * r2(n - z * z) for z in range(math.isqrt(n) + 1))
+        assert r3(n) == direct, n
 
 
 def test_r3_fallback_matches_series():
@@ -405,12 +424,6 @@ def test_tri_N_closed_m1_matches_nonneg_enumeration():
 def test_tri_N_closed_rejects_odd_m_three_vars():
     with pytest.raises(ValueError):
         tri_N_closed(1, 3, 5)
-
-
-def test_tri_N_closed_strict_avoids_series():
-    assert tri_N_closed_strict(2, 3, 1) == 24
-    with pytest.raises(ValueError):
-        tri_N_closed_strict(2, 3, 12)  # r_3(27): outside the closed domain
 
 
 def test_four_triangular_positivity_slice():
