@@ -254,8 +254,6 @@ def _indicator_values(kind, n_max):
                 break
             vals.append(v)
             m += 1
-    else:
-        raise ValueError(f"unknown indicator kind {tag!r}")
     return vals
 
 
@@ -263,6 +261,7 @@ def count_power_sum(kind, n):
     """Ordered pairs (k, n-k) with both parts hit by the indicator kind."""
     if n < 0:
         raise ValueError("count_power_sum requires n >= 0")
+    arith.indicator(kind, 0)  # refuses nu < 1, coefficients < 1 and unknown tags before enumerating
     return sum(arith.indicator(kind, n - v) for v in _indicator_values(kind, n))
 
 

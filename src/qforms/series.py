@@ -265,41 +265,20 @@ class HalfLaurentSeries:
         return HalfLaurentSeries(t.base // 2, g, t.base // 2 + len(g))
 
     def log(self):
-        """Series logarithm; requires constant term 1 at exponent 0."""
-        t = self._unit_part("log")
-        f = t.coeffs
+        """Series logarithm; requires constant term 1 at exponent 0.
+
+        Solves u*f = q f' for u = q f'/f, then log f has coefficients u_k/k.
+        """
+        f = self._unit_part("log").coeffs
         n = len(f)
-        fnz = [(j, f[j]) for j in range(1, n) if f[j]]
-        out = [0] * n
-        for k in range(1, n):
-            acc = k * f[k]
-            for j, fj in fnz:
-                if j >= k:
-                    break
-                lk = out[k - j]
-                if lk:
-                    acc = acc - (k - j) * fj * lk
-            out[k] = _div(acc, k)
-        return HalfLaurentSeries(0, out, t.order)
+        u = _solve(f, [k * fk for k, fk in enumerate(f)], [1] * n)
+        return HalfLaurentSeries(0, [0] + [_div(u[k], k) for k in range(1, n)], n)
 
     def inverse(self):
         """Reciprocal series; requires constant term 1 at exponent 0."""
-        t = self._unit_part("inverse")
-        f = t.coeffs
+        f = self._unit_part("inverse").coeffs
         n = len(f)
-        fnz = [(j, f[j]) for j in range(1, n) if f[j]]
-        out = [0] * n
-        out[0] = 1
-        for k in range(1, n):
-            acc = 0
-            for j, fj in fnz:
-                if j > k:
-                    break
-                hk = out[k - j]
-                if hk:
-                    acc = acc + fj * hk
-            out[k] = _norm(-acc)
-        return HalfLaurentSeries(0, out, t.order)
+        return HalfLaurentSeries(0, _solve(f, [1] + [0] * (n - 1), [1] * n), n)
 
     # -- numeric -------------------------------------------------------
 
@@ -344,6 +323,27 @@ class HalfLaurentSeries:
         return f"<{body} + O(q^({self.order}/2))>"
 
 
+def _solve(c, rhs, d):
+    """out with d[k]*out[k] = rhs[k] - sum_(1<=j<=k) c[j]*out[k-j], exactly.
+
+    The one linear recurrence behind inverse, log and exp_neg; the inner
+    loop runs over the nonzero c[j] only.
+    """
+    n = len(rhs)
+    cnz = [(j, c[j]) for j in range(1, n) if c[j]]
+    out = [0] * n
+    for k in range(n):
+        acc = rhs[k]
+        for j, cj in cnz:
+            if j > k:
+                break
+            v = out[k - j]
+            if v:
+                acc = acc - cj * v
+        out[k] = _div(acc, d[k])
+    return out
+
+
 def _sqrt_unit(rel):
     """Coefficient list of sqrt for a unit series (rel[0] == 1).
 
@@ -379,31 +379,18 @@ def _sqrt_unit(rel):
 
 
 def exp_neg(a):
-    """exp(-a) for a series a with zero constant term and no Laurent part."""
+    """exp(-a) for a series a with zero constant term and no Laurent part.
+
+    e = exp(-a) solves q e' = -(q a') e, so k e_k = -sum_j j a_j e_(k-j).
+    """
     t = a.trim()
     if t.base < 0 or (t.base == 0 and t.coeffs[0] != 0):
         raise ValueError("exp_neg requires zero constant term and no negative exponents")
     if t.order < 1:
         raise ValueError("exp_neg needs validity at exponent 0")
     n = t.order
-    w = {}
-    for i, c in enumerate(t.coeffs):
-        if c:
-            j = t.base + i
-            w[j] = _norm(j * c)
-    wnz = sorted(w.items())
-    out = [0] * n
-    out[0] = 1
-    for k in range(1, n):
-        acc = 0
-        for j, wj in wnz:
-            if j > k:
-                break
-            ek = out[k - j]
-            if ek:
-                acc = acc + wj * ek
-        out[k] = _div(-acc, k) if acc else 0
-    return HalfLaurentSeries(0, out, n)
+    w = [_norm(j * t.coeff(j)) for j in range(n)]  # j*a_j is often an integer: keep it an int
+    return HalfLaurentSeries(0, _solve(w, [1] + [0] * (n - 1), [1, *range(1, n)]), n)
 
 
 def _partitions(n):

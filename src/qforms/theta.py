@@ -95,11 +95,11 @@ def _sum_form(order_half, exponents_coeffs):
     )
 
 
-def _factor_mul(s, e, sign):
-    """Multiply s by (1 + sign*q^(e/2)); e may be negative or zero."""
+def _times_binomial(c, e, sign):
+    """Coefficient list c times (1 + sign*q^(e/2)) for e >= 0, truncated to len(c)."""
     if e == 0:
-        return s.scale(1 + sign)
-    return s + s.shift(e).scale(sign)
+        return [(1 + sign) * x for x in c]
+    return c[:e] + [x + sign * y for x, y in zip(c[e:], c)]
 
 
 def series(kind, order):
@@ -153,31 +153,22 @@ def series(kind, order):
 
 def _pochhammer_product(a_half, step_half, negated, order_half):
     sign = 1 if negated else -1
-    s = HalfLaurentSeries.one(order_half)
-    e = a_half
-    while e < order_half:
-        s = _factor_mul(s, e, sign)
-        e += step_half
-    return s
+    c = [1] + [0] * (order_half - 1)
+    for e in range(a_half, order_half, step_half):
+        c = _times_binomial(c, e, sign)
+    return HalfLaurentSeries(0, c, order_half)
 
 
 def _triple_product(z, order_half):
-    neg_room = sum(2 * z - 4 * n - 2 for n in range((2 * z - 2) // 4 + 1) if 4 * n + 2 - 2 * z < 0)
-    work = order_half + neg_room + 2
-    factors = []
+    """q^(base/2) times a power series: each factor 1 + q^(e/2) with e < 0
+    is q^(e/2) (1 + q^(-e/2)), so base is the sum of those e."""
+    base = sum(range(2 - 2 * z, 0, 4))
+    size = order_half - base
+    c = [1] + [0] * (size - 1)
     for start, sign in ((4, -1), (2 - 2 * z, 1), (2 + 2 * z, 1)):
-        e = start
-        while e < work:
-            factors.append((e, sign))
-            e += 4
-    factors.sort()
-    s = HalfLaurentSeries.one(work)
-    for e, sign in factors:
-        if e < s.order:
-            s = _factor_mul(s, e, sign)
-    if s.order > order_half:
-        s = s.truncate(order_half)
-    return s
+        for e in range(start, size, 4):
+            c = _times_binomial(c, abs(e), sign)
+    return HalfLaurentSeries(base, c, order_half)
 
 
 def phi_product(order):

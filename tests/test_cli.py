@@ -18,7 +18,7 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "qforms.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 GOLDEN_CASES = [
@@ -90,6 +90,8 @@ def test_precondition_violations_exit_2():
     assert run_cli("circle", "hardy", "--x", "10").returncode == 2
     assert run_cli("count", "expmethod", "--terms", "3:1", "--n", "0..5").returncode == 2
     assert run_cli("circle", "scan", "--xmax", "1", "--step", "5").returncode == 2
+    assert run_cli("count", "power", "--nu", "0", "--n", "0..5").returncode == 2
+    assert run_cli("count", "power", "--nu", "-1", "--n", "0..5").returncode == 2
 
 
 def test_cross_check_failure_exits_3():

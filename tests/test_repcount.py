@@ -182,6 +182,13 @@ def test_count_power_sum_zero():
     assert count_power_sum(("square",), 0) == 1
 
 
+def test_count_power_sum_refuses_bad_kinds():
+    # refused before the values are enumerated: at nu = 0, m**nu never exceeds n
+    for kind in (("power", 0), ("power", -1), ("poly", (0,))):
+        with pytest.raises(ValueError):
+            count_power_sum(kind, 3)
+
+
 def test_count_power_sum_matches_enumeration():
     for nu in (3, 4, 5):
         for n in range(2000):

@@ -19,6 +19,11 @@ def random_unit(rng, order=None):
     return S(0, coeffs, order)
 
 
+def dense_unit(rng, order):
+    """Unit series with every coefficient past the constant term in +-{1, 2, 3}."""
+    return S(0, [1] + [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(order - 1)], order)
+
+
 # -- construction -----------------------------------------------------------
 
 
@@ -324,6 +329,8 @@ def test_log_exp_roundtrips():
         assert exp_neg(f.log().scale(-1)) == f
         a = random_unit(rng) - S.one(40)  # zero constant term
         assert exp_neg(a).log() == a.scale(-1)
+    f = dense_unit(rng, 512)  # the benchmark's order
+    assert exp_neg(f.log().scale(-1)) == f
 
 
 def test_inverse_roundtrip():
@@ -331,6 +338,8 @@ def test_inverse_roundtrip():
     for _ in range(20):
         f = random_unit(rng)
         assert f * f.inverse() == S.one(f.order)
+    f = dense_unit(rng, 512)  # the benchmark's order
+    assert f * f.inverse() == S.one(512)
 
 
 def test_mul_commutative_associative():

@@ -87,9 +87,11 @@ def test_triple_product_small_p():
 
 
 def test_triple_product_rhs_matches_general_theta():
-    # prod (1-q^(2n+2))(1+q^(2n+1-z))(1+q^(2n+1+z)) = sum q^(n^2+zn), z odd
-    for z in (1, 3):
-        assert series(triple_product_rhs(z), 60) == series(general(1, z), 60)
+    # prod (1-q^(2n+2))(1+q^(2n+1-z))(1+q^(2n+1+z)) = sum q^(n^2+zn) for every
+    # integer z (Jacobi's triple product); factors with 2n+1-z < 0 shift the base
+    for z in range(13):
+        for order in range(1, 41):
+            assert series(triple_product_rhs(z), order) == series(general(1, z), order), (z, order)
 
 
 def test_even_shift_identity():
