@@ -9,6 +9,7 @@ independently; series are truncated so the neglected tail is below 1e-12.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import theta
@@ -19,7 +20,12 @@ def ellipK(k):
     """Complete elliptic integral of the first kind, via the AGM."""
     if not 0 <= k < 1:
         raise ValueError("modulus must satisfy 0 <= k < 1")
-    a, b = 1.0, math.sqrt(1.0 - k * k)
+    return _agm_K(math.sqrt(1.0 - k * k))
+
+
+def _agm_K(b):
+    """pi / (2 AGM(1, b)), which is K(k) for b = sqrt(1 - k^2) and K'(k) for b = k."""
+    a = 1.0
     for _ in range(60):
         if abs(a - b) <= 1e-16 * a:
             break
@@ -73,9 +79,11 @@ def singular_modulus(r):
     if r <= 0:
         raise ValueError("r must be positive")
     q = math.exp(-math.pi * math.sqrt(r))
+    if q < sys.float_info.min:
+        raise ValueError(f"r={r} is too large: the nome exp(-pi sqrt(r)) underflows")
     k = (theta_numeric("theta2", q) / theta_numeric("theta3", q)) ** 2
     kp = math.sqrt(1.0 - k * k)
-    K, Kp = ellipK(k), ellipK(kp)
+    K, Kp = ellipK(k), _agm_K(k)  # not ellipK(kp): 1 - kp^2 cancels for small k
     if abs(Kp / K - math.sqrt(r)) >= 1e-9:
         raise ArithmeticError(f"singular modulus residual check failed at r={r}")
     return EllipticContext(r=float(r), q=q, k=k, kp=kp, K=K, Kp=Kp)
@@ -91,11 +99,12 @@ def multiplier(n, r):
 
 
 def _theta_like_sum(q, a, c):
-    """Sum over all integers n of q^(a n^2 + c n), 0 < q < 1."""
-    total = 1.0
+    """q^(c^2/4a) times the sum over all integers n of q^(a n^2 + c n), for
+    0 < q < 1 and 2a | c: the terms q^((2a n + c)^2/4a) are all at most 1."""
+    total = q ** (c * c // (4 * a))
     n = 1
     while True:
-        t = q ** (a * n * n + c * n) + q ** (a * n * n - c * n)
+        t = q ** ((2 * a * n + c) ** 2 // (4 * a)) + q ** ((2 * a * n - c) ** 2 // (4 * a))
         total += t
         if t < 1e-18 * total:
             return total
@@ -107,8 +116,8 @@ def identity_check(which, **params):
 
     jacobiK(r):       theta3(q)^2 vs 2K/pi at q = exp(-pi sqrt(r)).
     lambert(r):       2K/pi vs 1 + 4 sum_{m,l} (-1)^l q^((2l+1)m).
-    application1(A,B,C,D,r): product of two shifted lattice sums vs
-                      2/pi q^(-n0) K(k_r) sqrt(m_A m_B).
+    application1(A,B,C,D,r): product of two shifted lattice sums, scaled by
+                      q^(C^2/4A) and q^(D^2/4B), vs 2/pi K(k_r) sqrt(m_A m_B).
     weber(r):         16 q prod((1+q^2n)/(1+q^(2n-1)))^8 vs (theta2/theta3)^4.
     """
     if which == "jacobiK":
@@ -142,10 +151,9 @@ def identity_check(which, **params):
         ctx = singular_modulus(params["r"])
         q = ctx.q
         lhs = _theta_like_sum(q, A, C) * _theta_like_sum(q, B, D)
-        n0 = C * C / (4.0 * A) + D * D / (4.0 * B)
         mA = multiplier(A, params["r"])
         mB = multiplier(B, params["r"])
-        rhs = 2.0 / math.pi * q ** (-n0) * ctx.K * math.sqrt(mA * mB)
+        rhs = 2.0 / math.pi * ctx.K * math.sqrt(mA * mB)
         return abs(lhs - rhs)
     if which == "weber":
         ctx = singular_modulus(params["r"])

@@ -367,17 +367,9 @@ def tri_count(m, N, n_max, convention="lattice"):
     B = (m * m) // 4  # deepest half-unit exponent of one factor
     order_half = 2 * n_max + (N - 1) * B + 2
     order_q = order_half // 2 + 1
-    if convention == "lattice":
-        one = theta.series(theta.triangular(m), order_q)
-    elif convention == "nonneg":
-        terms = []
-        x = 0
-        while x * x + m * x < 2 * order_q:
-            terms.append((x * x + m * x, 1))
-            x += 1
-        one = HalfLaurentSeries.from_terms(terms, 2 * order_q)
-    else:
+    if convention not in ("lattice", "nonneg"):
         raise ValueError("convention must be 'lattice' or 'nonneg'")
+    one = theta._lattice(2 * order_q, 1, m, nonneg=convention == "nonneg")
     pbase = N * one.base  # half-unit exponent of the product's first coefficient
     counts = power(one.coeffs, N, 2 * n_max - pbase + 1)[-pbase::2]
     spec = FormSpec.triangular_sum(m, N, convention)
@@ -409,10 +401,7 @@ def tri_reduce(m, N, n):
 
 @lru_cache(maxsize=32)
 def _rN_counts(N, n_max):
-    theta3 = [0] * (n_max + 1)
-    for i in range(math.isqrt(n_max) + 1):
-        theta3[i * i] = 2 if i else 1
-    return tuple(power(theta3, N, n_max + 1))
+    return tuple(power(theta._lattice(n_max + 1, 1, 0).coeffs, N, n_max + 1))
 
 
 def r_N_squares(N, n_max):

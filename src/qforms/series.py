@@ -254,14 +254,11 @@ class HalfLaurentSeries:
         t = self.trim()
         if all(c == 0 for c in t.coeffs):
             raise ValueError("sqrt of the zero series")
-        if t.coeffs[0] == 0:  # zero lead only possible when everything below order is 0
-            raise ValueError("sqrt requires a nonzero leading coefficient")
         if t.base % 2 != 0:
             raise ValueError("sqrt branch point: leading exponent is an odd half-unit")
         if t.coeffs[0] != 1:
             raise ValueError("sqrt requires leading coefficient 1")
-        rel = t.coeffs
-        g = _sqrt_unit(rel)
+        g = _sqrt_unit(t.coeffs)
         return HalfLaurentSeries(t.base // 2, g, t.base // 2 + len(g))
 
     def log(self):

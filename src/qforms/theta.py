@@ -17,26 +17,29 @@ from .series import HalfLaurentSeries, exp_neg
 
 @dataclass(frozen=True)
 class ThetaKind:
+    """A series kind as data; a "lattice" kind's params are the
+    (a, b, alternating, nonneg) of _lattice."""
+
     tag: str
     params: tuple = ()
 
 
 def theta3():
-    return ThetaKind("theta3")
+    return ThetaKind("lattice", (2, 0, False, False))
 
 
 def phi():
     """Same series as theta3; kept as the sum-form name."""
-    return ThetaKind("theta3")
+    return theta3()
 
 
 def psi():
-    return ThetaKind("psi")
+    return ThetaKind("lattice", (1, 1, False, True))
 
 
 def f_neg():
     """f(-q) = sum (-1)^n q^(n(3n-1)/2) over all integers n."""
-    return ThetaKind("f_neg")
+    return ThetaKind("lattice", (3, -1, True, False))
 
 
 def pochhammer(a_half, step_half, negated=False):
@@ -50,21 +53,21 @@ def general(k, h):
     """sum over integers n of q^(k n^2 + h n)."""
     if k < 1:
         raise ValueError("general theta requires k >= 1")
-    return ThetaKind("general", (k, h))
+    return ThetaKind("lattice", (2 * k, 2 * h, False, False))
 
 
 def alt_general(k, h):
     """sum over integers n of (-1)^n q^(k n^2 + h n)."""
     if k < 1:
         raise ValueError("general theta requires k >= 1")
-    return ThetaKind("alt_general", (k, h))
+    return ThetaKind("lattice", (2 * k, 2 * h, True, False))
 
 
 def triangular(m):
     """sum over integers n of q^(t_m(n)), t_m(x) = (x^2 + m x)/2."""
     if m < 0:
         raise ValueError("triangular index m must be >= 0")
-    return ThetaKind("triangular", (m,))
+    return ThetaKind("lattice", (1, m, False, False))
 
 
 def triple_product_rhs(z):
@@ -86,10 +89,15 @@ def _quad_range(a, b, limit):
     return range(lo, hi)
 
 
-def _sum_form(order_half, exponents_coeffs):
+def _lattice(order_half, a, b, alternating=False, nonneg=False):
+    """Sum of (-1)^n (when alternating) q^((a n^2 + b n)/2) over the integers
+    n (n >= 0 when nonneg), valid below half-unit exponent order_half.
+    Terms that cancel are dropped, except at exponent 0."""
     acc = {}
-    for e, c in exponents_coeffs:
-        acc[e] = acc.get(e, 0) + c
+    for n in _quad_range(a, b, order_half):
+        e = a * n * n + b * n
+        if e < order_half and (n >= 0 or not nonneg):
+            acc[e] = acc.get(e, 0) + (-1 if alternating and n % 2 else 1)
     return HalfLaurentSeries.from_terms(
         [(e, c) for e, c in acc.items() if c or e == 0], order_half
     )
@@ -108,40 +116,8 @@ def series(kind, order):
         raise ValueError("order must be >= 1")
     oh = 2 * order
     tag = kind.tag
-    if tag == "theta3":
-        terms = [(0, 1)] + [(2 * n * n, 2) for n in range(1, math.isqrt(order) + 1) if n * n < order]
-        return _sum_form(oh, terms)
-    if tag == "psi":
-        terms = []
-        n = 0
-        while n * (n + 1) < oh:
-            terms.append((n * (n + 1), 1))
-            n += 1
-        return _sum_form(oh, terms)
-    if tag == "f_neg":
-        terms = []
-        for n in _quad_range(3, -1, oh):
-            e = n * (3 * n - 1)
-            if 0 <= e < oh:
-                terms.append((e, -1 if n % 2 else 1))
-        return _sum_form(oh, terms)
-    if tag == "general" or tag == "alt_general":
-        k, h = kind.params
-        terms = []
-        for n in _quad_range(k, h, order):
-            e = k * n * n + h * n
-            if e < order:
-                c = -1 if (tag == "alt_general" and n % 2) else 1
-                terms.append((2 * e, c))
-        return _sum_form(oh, terms)
-    if tag == "triangular":
-        (m,) = kind.params
-        terms = []
-        for n in _quad_range(1, m, oh):
-            e = n * n + m * n
-            if e < oh:
-                terms.append((e, 1))
-        return _sum_form(oh, terms)
+    if tag == "lattice":
+        return _lattice(oh, *kind.params)
     if tag == "pochhammer":
         a, step, negated = kind.params
         return _pochhammer_product(a, step, negated, oh)
@@ -214,14 +190,7 @@ def triple_product_check(p, order):
         raise ValueError("p must be >= 0")
     z = 2 * p + 1
     lhs1 = series(general(1, z), order)
-    fq2 = _sum_form(
-        2 * order,
-        [
-            (2 * n * (3 * n - 1), -1 if n % 2 else 1)
-            for n in _quad_range(6, -2, 2 * order)
-            if 0 <= 2 * n * (3 * n - 1) < 2 * order
-        ],
-    )
+    fq2 = _lattice(2 * order, 6, -2, alternating=True)
     poch = series(pochhammer(4, 4, True), order)
     rhs1 = (fq2 * poch.square()).shift(-2 * p * (p + 1)).scale(2)
     if lhs1 != rhs1:

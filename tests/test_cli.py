@@ -118,6 +118,7 @@ def test_verified_paths_exit_0():
         ["count", "expmethod", "--terms", "3:-2,3:-2", "--n", "0..40",
          "--verify", "oracle"],
         ["circle", "hardy", "--x", "2.5", "--ncut", "20000", "--verify", "oracle"],
+        ["identity", "app1", "--A", "2", "--B", "1", "--C", "8", "--r", "3"],
     ]
     for args in cases:
         proc = run_cli(*args)

@@ -94,6 +94,13 @@ def test_context_invariants():
         assert abs(ctx.Kp / ctx.K - math.sqrt(r)) < 1e-9
 
 
+def test_singular_modulus_past_the_cancellation_of_one_minus_k_squared():
+    # k_45 is about 1e-4, so 1 - sqrt(1 - k^2)^2 keeps only half the digits of k^2
+    for r in (45, 60):
+        ctx = singular_modulus(r)
+        assert abs(ctx.Kp / ctx.K - math.sqrt(r)) < 1e-12, r
+
+
 def test_singular_modulus_rejects_nonpositive():
     with pytest.raises(ValueError):
         singular_modulus(0)
@@ -140,6 +147,16 @@ def test_application1_identity():
         for C, D in ((0, 0), (-2, 0)):
             res = identity_check("application1", A=A, B=B, C=C, D=D, r=1)
             assert res < 1e-8, (A, B, C, D)
+
+
+def test_application1_shifted_grid():
+    # every shift within three periods, with A^2 r up to 160
+    for A, B in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (4, 1), (3, 4), (4, 3)):
+        for r in range(1, 11):
+            for i in range(-3, 4):
+                for j in range(-3, 4):
+                    res = identity_check("application1", A=A, B=B, C=2 * A * i, D=2 * B * j, r=r)
+                    assert res < 1e-12, (A, B, i, j, r)
 
 
 def test_application1_preconditions():

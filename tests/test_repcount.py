@@ -260,7 +260,8 @@ def test_tri_count_examples():
 
 def test_tri_count_matches_oracle():
     for m, N, conv in ((0, 3, "lattice"), (1, 3, "lattice"), (2, 2, "lattice"),
-                       (3, 2, "lattice"), (1, 4, "nonneg"), (4, 2, "lattice")):
+                       (3, 2, "lattice"), (1, 4, "nonneg"), (4, 2, "lattice"),
+                       (0, 3, "nonneg"), (2, 2, "nonneg"), (3, 3, "nonneg")):
         t = tri_count(m, N, 60, conv)
         o = oracle_count(FormSpec.triangular_sum(m, N, conv), 60)
         for n in range(61):

@@ -55,6 +55,51 @@ def test_f_neg_is_pentagonal():
     assert f.coeff(2 * 3) == 0
 
 
+def _brute_lattice(order, exponent, alternating, ns):
+    """{half-unit exponent: coefficient} of sum (-1)^n q^(exponent(n)/2) (sign only
+    when alternating) over ns, below q^order."""
+    acc = {}
+    for n in ns:
+        e = exponent(n)
+        if e < 2 * order:
+            acc[e] = acc.get(e, 0) + (-1 if alternating and n % 2 else 1)
+    return {e: c for e, c in acc.items() if c}
+
+
+def test_lattice_kinds_match_brute_force():
+    ns = range(-200, 200)  # |n| < 200 covers every exponent below 2*40 here
+    kinds = [(theta3(), lambda n: 2 * n * n, False, ns),
+             (psi(), lambda n: n * (n + 1), False, range(200)),
+             (f_neg(), lambda n: n * (3 * n - 1), True, ns)]
+    kinds += [(triangular(m), lambda n, m=m: n * n + m * n, False, ns) for m in range(9)]
+    for k in range(1, 5):
+        for h in range(-6, 7):
+            kinds += [(general(k, h), lambda n, k=k, h=h: 2 * (k * n * n + h * n), False, ns),
+                      (alt_general(k, h), lambda n, k=k, h=h: 2 * (k * n * n + h * n), True, ns)]
+    for kind, exponent, alternating, domain in kinds:
+        for order in range(1, 41):
+            s = series(kind, order)
+            assert s.order == 2 * order
+            got = {e: s.coeff(e) for e in s.support()}
+            assert got == _brute_lattice(order, exponent, alternating, domain), (kind, order)
+
+
+def test_alt_general_cancels_to_zero():
+    # n and -(2j+1)-n give the same exponent with opposite signs; the exponent-0
+    # coefficient cancels too but still fixes the base at 0
+    for k in range(1, 5):
+        for j in range(-3, 3):
+            for order in range(1, 41):
+                s = series(alt_general(k, k * (2 * j + 1)), order)
+                assert s.support() == [] and s.base == 0, (k, j, order)
+
+
+def test_triangular_1_is_twice_psi():
+    for order in range(1, 41):
+        t, p = series(triangular(1), order), series(psi(), order).scale(2)
+        assert (t.base, t.coeffs, t.order) == (p.base, p.coeffs, p.order), order
+
+
 # -- product forms ------------------------------------------------------------
 
 
