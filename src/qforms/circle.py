@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special as _sp
 
 
 @dataclass(frozen=True)
@@ -141,9 +140,11 @@ def hardy_sum(x, spec=TruncationSpec()):
         raise ValueError("x must be positive")
     if float(x).is_integer():
         raise ValueError("integer x sits on a jump of the lattice count")
+    from scipy.special import j1  # imported here: scipy is most of qforms' start-up
+
     n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
     weights = r2_table(spec.n_cut)[1:].astype(np.float64)
-    terms = weights / np.sqrt(n) * _sp.j1(2 * math.pi * np.sqrt(n * x))
+    terms = weights / np.sqrt(n) * j1(2 * math.pi * np.sqrt(n * x))
     partials = math.pi * x + math.sqrt(x) * np.cumsum(terms)
     return _window_mean(partials, spec.smooth_window)
 
@@ -242,7 +243,9 @@ def fresnel(z):
     """(F_C(z), F_S(z)) with the integral normalization cos/sin(pi t^2/2)."""
     if z < 0:
         raise ValueError("z must be nonnegative")
-    s, c = _sp.fresnel(z)
+    from scipy.special import fresnel as fresnel_sc  # imported here, as in hardy_sum
+
+    s, c = fresnel_sc(z)
     return float(c), float(s)
 
 

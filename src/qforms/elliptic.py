@@ -75,9 +75,19 @@ class EllipticContext:
 
 def singular_modulus(r):
     """EllipticContext at the singular modulus k_r = (theta2/theta3)^2 with
-    nome q = exp(-pi sqrt(r)); fails if K'/K does not recover sqrt(r)."""
+    nome q = exp(-pi sqrt(r)); fails if K'/K does not recover sqrt(r).
+
+    For r < 1 it is the context at 1/r with k and k', K and K' swapped
+    (k_r' = k_(1/r)): computing K(k_r) from k_r near 1 would cancel.
+    """
     if r <= 0:
         raise ValueError("r must be positive")
+    if r < 1:
+        dual = singular_modulus(1 / r)
+        if dual.kp == 1.0:
+            raise ValueError(f"r={r} is too small: the singular modulus k_r rounds to 1")
+        return EllipticContext(r=float(r), q=math.exp(-math.pi * math.sqrt(r)),
+                               k=dual.kp, kp=dual.k, K=dual.Kp, Kp=dual.K)
     q = math.exp(-math.pi * math.sqrt(r))
     if q < sys.float_info.min:
         raise ValueError(f"r={r} is too large: the nome exp(-pi sqrt(r)) underflows")

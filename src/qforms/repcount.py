@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add
 
 from . import arith
 from .arith import ODD, ODD_SIGNED, divisor_sum, divisors, residue
@@ -137,7 +139,12 @@ def r2(n):
 
 
 def _r2_list(n_max):
-    return [r2(n) for n in range(n_max + 1)]
+    """r2(n) for 0 <= n <= n_max: one sieve adding 4 (-1)^((d-1)/2) at the
+    multiples of each odd d."""
+    out = [1] + [0] * n_max
+    for d in range(1, n_max + 1, 2):
+        out[d::d] = map(add, out[d::d], repeat(4 if d % 4 == 1 else -4))
+    return out
 
 
 def _bucket(n):
@@ -499,6 +506,17 @@ def tri_N_closed(m, N, n):
 # -- exp-transform route ---------------------------------------------------
 
 
+def _fkh_sums(terms, n_max):
+    """n times sum_l f_(k_l,h_l)(n) for 0 <= n <= n_max: one sieve adding
+    d sum_l chi_(k_l,h_l)(d) at the multiples of each d."""
+    out = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        w = d * sum(arith.chi_kh(k, h, d) for k, h in terms)
+        if w:
+            out[d::d] = map(add, out[d::d], repeat(w))
+    return out
+
+
 def exp_method_count(terms, n_max):
     """Counts for sum (k_l x_l^2 + h_l x_l) = n via the exp transform.
 
@@ -514,10 +532,8 @@ def exp_method_count(terms, n_max):
         if (k + h) % 2 == 0:
             raise ValueError(f"exp route requires opposite parity, got ({k}, {h})")
     order = n_max + 1
-    a_terms = []
-    for nn in range(1, order):
-        v = sum(arith.f_kh(k, h, nn) for k, h in terms)
-        a_terms.append((2 * nn, v if nn % 2 == 0 else -v))
+    sums = _fkh_sums(terms, n_max)
+    a_terms = [(2 * nn, Fraction(sums[nn] if nn % 2 == 0 else -sums[nn], nn)) for nn in range(1, order)]
     a = HalfLaurentSeries.from_terms(a_terms, 2 * order)
     e = exp_neg(a)
     counts = []

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import mul, sub
 
 
 def _norm(v):
@@ -226,11 +228,7 @@ class HalfLaurentSeries:
             return NotImplemented
         base = self.base + other.base
         order = min(self.order + other.base, other.order + self.base)
-        df, f = _integral(self.coeffs)
-        dg, g = (df, f) if other is self else _integral(other.coeffs)
-        d = df * dg
-        out = convolve(f, g, order - base)
-        return HalfLaurentSeries(base, out if d == 1 else [_div(c, d) for c in out], order)
+        return HalfLaurentSeries(base, _product(self.coeffs, other.coeffs, order - base), order)
 
     __rmul__ = __mul__
 
@@ -320,58 +318,147 @@ class HalfLaurentSeries:
         return f"<{body} + O(q^({self.order}/2))>"
 
 
+# Measured on dense random inputs: blocks of at most _LEAF outputs run the
+# plain loop, whose per-pair work is cheaper than a product's packing there;
+# integer blocks wider than _WIDE bits keep the loop's cross term, because
+# the product's slots would pad the narrow operand to the wide one.
+_LEAF = 64
+_WIDE = 384
+
+
+def _relaxed(acc, leaf, cross):
+    """Drive a recurrence for out[0:n], out[k] depending on out[:k], by
+    divide and conquer (J. van der Hoeven, "Relax, but don't be too lazy",
+    JSC 34, 2002).
+
+    acc[k] holds out[k]'s right-hand side less the contributions already
+    added.  Each node [lo, hi) solves its left half, subtracts that half's
+    contribution to the right half, cross(lo, mid, hi) -- one product of
+    known blocks -- and recurses on the right half; leaf(lo, hi) is the
+    plain loop over the contributions of out[lo:k].  Only solved outputs
+    meet the inputs, so coefficients stay their own size and the cost is
+    O(M(n) log n).  The ceiling midpoint keeps every node [lo, hi) with
+    lo > 0 no longer than lo, which the self-convolution needs.
+    """
+
+    def solve(lo, hi):
+        if hi - lo <= _LEAF:
+            leaf(lo, hi)
+            return
+        mid = (lo + hi + 1) // 2
+        solve(lo, mid)
+        acc[mid:hi] = map(sub, acc[mid:hi], cross(lo, mid, hi))
+        solve(mid, hi)
+
+    solve(0, len(acc))
+
+
+def _product(f, g, n):
+    """First n coefficients of f*g for exact rational lists, through convolve
+    on the numerators over one common denominator per list."""
+    df, fi = _integral(f)
+    dg, gi = (df, fi) if g is f else _integral(g)
+    out = convolve(fi, gi, n)
+    d = df * dg
+    return out if d == 1 else [_div(v, d) for v in out]
+
+
+def _wide(*blocks):
+    """True when the blocks are integer lists with a value wider than _WIDE
+    bits.  Rational blocks always take the product, which replaces Fraction
+    arithmetic by integer work."""
+    values = list(chain.from_iterable(blocks))
+    if Fraction in set(map(type, values)):
+        return False
+    return max(map(abs, values), default=0).bit_length() > _WIDE
+
+
+def _stride(*lists):
+    """Gcd of the positive indices at which some list is nonzero (0 if none)."""
+    s = 0
+    for c in lists:
+        for t in range(1, len(c)):
+            if c[t]:
+                s = math.gcd(s, t)
+                if s == 1:
+                    return 1
+    return s
+
+
 def _solve(c, rhs, d):
     """out with d[k]*out[k] = rhs[k] - sum_(1<=j<=k) c[j]*out[k-j], exactly.
 
-    The one linear recurrence behind inverse, log and exp_neg; the inner
-    loop runs over the nonzero c[j] only.
+    The one linear recurrence behind inverse, log and exp_neg.  It runs on
+    the sub-lattice that c and rhs populate, with c scaled to integers,
+    through the divide-and-conquer driver.
     """
     n = len(rhs)
-    cnz = [(j, c[j]) for j in range(1, n) if c[j]]
+    s = _stride(c, rhs) or n
+    if s > 1:
+        out = [0] * n
+        out[::s] = _solve(c[::s], rhs[::s], d[::s])
+        return out
+    dc, c = _integral(c)
+    if dc > 1:
+        rhs = [dc * v for v in rhs]
+        d = [dc * v for v in d]
+    crev = c[::-1]
     out = [0] * n
-    for k in range(n):
-        acc = rhs[k]
-        for j, cj in cnz:
-            if j > k:
-                break
-            v = out[k - j]
-            if v:
-                acc = acc - cj * v
-        out[k] = _div(acc, d[k])
+    acc = list(rhs)
+
+    def dot(k, i0, i1):
+        """sum of c[k-i] out[i] over i0 <= i < i1."""
+        return sum(map(mul, crev[n - 1 - k + i0 : n - 1 - k + i1], out[i0:i1]))
+
+    def leaf(lo, hi):
+        for k in range(lo, hi):
+            out[k] = _div(acc[k] - dot(k, lo, k), d[k])
+
+    def cross(lo, mid, hi):
+        block, part = out[lo:mid], c[1 : hi - lo]
+        if _wide(block, part):
+            return [dot(k, lo, mid) for k in range(mid, hi)]
+        return _product(block, part, hi - lo - 1)[mid - lo - 1 :]
+
+    _relaxed(acc, leaf, cross)
     return out
 
 
 def _sqrt_unit(rel):
     """Coefficient list of sqrt for a unit series (rel[0] == 1).
 
-    Runs the quadratic recurrence on the sub-lattice actually populated,
-    which keeps dense integer inputs fast.
+    Solves 2 g[t] = h[t] - sum_(1<=a<t) g[a] g[t-a] on the sub-lattice
+    actually populated, through the divide-and-conquer driver.  Its cross
+    term at lo = 0 is the block's square; above, a pair (a, t-a) with a in
+    the block has t-a < lo, so it is twice the block times g[1:hi-lo].
     """
     n = len(rel)
-    stride = 0
-    for t in range(1, n):
-        if rel[t]:
-            stride = math.gcd(stride, t)
-            if stride == 1:
-                break
-    if stride == 0:  # constant series
-        return [1] + [0] * (n - 1)
-    m = (n - 1) // stride + 1
-    h = [rel[t * stride] for t in range(m)]
-    g = [0] * m
-    g[0] = 1
-    for t in range(1, m):
-        acc = h[t]
-        for k in range(1, t):
-            gk = g[k]
-            if gk:
-                gt = g[t - k]
-                if gt:
-                    acc = acc - gk * gt
-        g[t] = _div(acc, 2)
+    s = _stride(rel) or n
+    acc = list(rel[::s])
+    g = [1] + [0] * (len(acc) - 1)
+
+    def pairs(t, a0, a1):
+        """sum of g[a] g[t-a] over a0 <= a < a1."""
+        return sum(map(mul, g[a0:a1], g[t - a0 : t - a1 : -1]))
+
+    def leaf(lo, hi):
+        for t in range(max(lo, 1), hi):
+            g[t] = _div(acc[t] - (2 * pairs(t, lo, t) if lo else pairs(t, 1, t)), 2)
+
+    def cross(lo, mid, hi):
+        if lo:
+            block, part = g[lo:mid], g[1 : hi - lo]
+            if _wide(block, part):
+                return [2 * pairs(t, lo, mid) for t in range(mid, hi)]
+            return [2 * v for v in _product(block, part, hi - lo - 1)[mid - lo - 1 :]]
+        block = g[1:mid]
+        if _wide(block):
+            return [pairs(t, t - mid + 1, mid) for t in range(mid, hi)]
+        return _product(block, block, hi - 2)[mid - 2 :]
+
+    _relaxed(acc, leaf, cross)
     out = [0] * n
-    for t in range(m):
-        out[t * stride] = g[t]
+    out[::s] = g
     return out
 
 
@@ -386,7 +473,8 @@ def exp_neg(a):
     if t.order < 1:
         raise ValueError("exp_neg needs validity at exponent 0")
     n = t.order
-    w = [_norm(j * t.coeff(j)) for j in range(n)]  # j*a_j is often an integer: keep it an int
+    coeffs = [0] * t.base + list(t.coeffs)
+    w = [_div(j * v.numerator, v.denominator) for j, v in enumerate(coeffs)]  # j*a_j, an int when integral
     return HalfLaurentSeries(0, _solve(w, [1] + [0] * (n - 1), [1, *range(1, n)]), n)
 
 
@@ -412,7 +500,9 @@ def sqrt_coeff_fdb(f, n):
 
     Independent of the sqrt recurrence: evaluates the partition sum
     sum_m h_m(1) sum' prod_j f_j^(a_j) / a_j! with
-    h_m(x) = (-1)^m x^(1/2 - m) (-1/2)_m, requiring f_0 = 1.
+    h_m(x) = (-1)^m x^(1/2 - m) (-1/2)_m, requiring f_0 = 1.  The inner
+    sum over the partitions with m parts is kept times m!, where each term
+    is the integer multinomial m!/prod_j a_j! times prod_j f_j^(a_j).
     """
     t = f._unit_part("sqrt_coeff_fdb")
     if n >= t.order:
@@ -422,21 +512,22 @@ def sqrt_coeff_fdb(f, n):
     if n == 0:
         return 1
     coeffs = t.coeffs
-    total = Fraction(0)
+    fact = list(accumulate(range(1, n + 1), mul, initial=1))
+    inner = [0] * (n + 1)  # inner[m]: m! times the sum over partitions with m parts
     for part in _partitions(n):
         m = sum(part.values())
-        term = _h_m(m)
+        weight, prod = fact[m], 1
         for j, aj in part.items():
-            cj = coeffs[j]
-            if not cj:
-                term = 0
+            if not coeffs[j]:
                 break
-            term = term * Fraction(cj) ** aj / math.factorial(aj)
-        if term:
-            total += term
-    return _norm(total)
+            weight //= fact[aj]
+            prod = prod * coeffs[j] ** aj
+        else:
+            inner[m] += weight * prod
+    return _norm(sum(_h_m(m) * inner[m] / fact[m] for m in range(1, n + 1) if inner[m]))
 
 
+@lru_cache(maxsize=128)
 def _h_m(m):
     """(-1)^m (-1/2)_m as an exact rational (x = 1 case of h_m)."""
     v = Fraction(1)

@@ -125,6 +125,21 @@ def test_verified_paths_exit_0():
         assert proc.returncode == 0, (args, proc.stderr)
 
 
+@pytest.mark.parametrize("r,code", [("0.001", 2), ("0.005", 2), ("0.01", 0), ("0.018", 0)])
+def test_identity_at_small_r(r, code):
+    proc = run_cli("identity", "jacobik", "--r", r)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stderr == f"qforms: r={r} is too small: the singular modulus k_r rounds to 1\n"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported inside hardy_sum and fresnel only
+    proc = subprocess.run([sys.executable, "-c", "import sys, qforms; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def test_help_exits_0():
     assert run_cli("--help").returncode == 0
     assert run_cli("count", "--help").returncode == 0

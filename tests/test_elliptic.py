@@ -101,6 +101,23 @@ def test_singular_modulus_past_the_cancellation_of_one_minus_k_squared():
         assert abs(ctx.Kp / ctx.K - math.sqrt(r)) < 1e-12, r
 
 
+def test_singular_modulus_below_one_is_the_dual_context():
+    # k_r' = k_(1/r): K(k_r) comes from K'(k_(1/r)), never from k_r near 1
+    for r in (0.01, 0.018, 0.25, 0.5):
+        ctx, dual = singular_modulus(r), singular_modulus(1 / r)
+        assert (ctx.k, ctx.kp, ctx.K, ctx.Kp) == (dual.kp, dual.k, dual.Kp, dual.K)
+        assert abs(ctx.Kp / ctx.K - math.sqrt(r)) < 1e-12, r
+        assert ctx.q == math.exp(-math.pi * math.sqrt(r))
+        assert identity_check("jacobiK", r=r) < 1e-10, r
+        assert identity_check("lambert", r=r) < 1e-10, r
+
+
+def test_singular_modulus_refuses_r_where_k_rounds_to_one():
+    for r in (0.001, 0.005):
+        with pytest.raises(ValueError, match="too small"):
+            singular_modulus(r)
+
+
 def test_singular_modulus_rejects_nonpositive():
     with pytest.raises(ValueError):
         singular_modulus(0)

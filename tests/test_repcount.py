@@ -76,6 +76,11 @@ def test_r2_matches_oracle():
         assert r2(n) == t.count(n)
 
 
+def test_r2_sieve_equals_per_n_r2():
+    assert repcount._r2_list(0) == [1]
+    assert repcount._r2_list(4000) == [r2(n) for n in range(4001)]
+
+
 # -- two-term closed form -----------------------------------------------------------
 
 
@@ -126,6 +131,17 @@ def test_count_diagonal_matches_oracle():
         o = oracle_count(FormSpec.diagonal(coeffs), 80)
         for n in range(81):
             assert t.count(n) == o.count(n), (coeffs, n)
+
+
+def test_transforms_at_a_2k_plus_1_bucket_match_oracle():
+    # n in [512, 1024) computes the 1025-slot bucket, which the square-root
+    # driver splits 513 + 512 without padding
+    for A, B, n in ((1, 2, 1000), (2, 3, 777)):
+        assert repcount._bucket(n) + 1 == 1025
+        t = repcount.two_form_table(A, B, n)
+        assert t.counts == oracle_count(FormSpec.two_form(A, B), n).counts, (A, B)
+    t = count_diagonal([3, 1, 2], 1024)
+    assert t.counts == oracle_count(FormSpec.diagonal([3, 1, 2]), 1024).counts
 
 
 # -- affine and composed forms ------------------------------------------------------------
@@ -459,6 +475,18 @@ def test_exp_method_matches_oracle():
         o = oracle_count(FormSpec(terms), 120)
         for n in range(121):
             assert t.count(n) == o.count(n), (terms, n)
+
+
+def test_fkh_sieve_equals_per_n_f_kh():
+    for terms in (((3, -2), (3, -2)), ((3, 2),), ((5, 2), (4, 1), (2, -1))):
+        sums = repcount._fkh_sums(terms, 1500)
+        assert sums[0] == 0
+        assert sums[1:] == [n * sum(arith.f_kh(k, h, n) for k, h in terms) for n in range(1, 1501)], terms
+
+
+def test_exp_method_at_a_2k_plus_1_length_matches_oracle():
+    terms = ((3, -2), (3, 2))
+    assert exp_method_count(terms, 1024).counts == oracle_count(FormSpec(terms), 1024).counts
 
 
 def test_exp_method_preconditions():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from qforms import series, theta
 from qforms.series import HalfLaurentSeries, convolve, exp_neg, power, sqrt_coeff_fdb
-from qforms import theta
 
 S = HalfLaurentSeries
 
@@ -242,6 +242,14 @@ def test_sqrt_fdb_matches_recurrence():
             assert sqrt_coeff_fdb(f, n) == g.coeff(n), (f, n)
 
 
+def test_sqrt_fdb_matches_recurrence_on_fraction_coefficients():
+    rng = random.Random(12)
+    f = S(0, [1] + [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(13)], 14)
+    g = f.sqrt()
+    for n in range(14):
+        assert sqrt_coeff_fdb(f, n) == g.coeff(n), n
+
+
 # -- log / exp_neg ----------------------------------------------------------
 
 
@@ -357,3 +365,134 @@ def test_leibniz_square_coefficients():
     for n in range(24):
         conv = sum(f.coeff(k) * f.coeff(n - k) for k in range(n + 1))
         assert sq.coeff(n) == conv
+
+
+# -- divide-and-conquer recurrences against the quadratic loops ---------------------
+
+
+def _loop_solve(c, rhs, d):
+    """The plain O(n^2) loop for d[k] out[k] = rhs[k] - sum_(1<=j<=k) c[j] out[k-j]."""
+    n = len(rhs)
+    out = [0] * n
+    for k in range(n):
+        acc = rhs[k]
+        for j in range(1, k + 1):
+            acc -= c[j] * out[k - j]
+        out[k] = series._norm(Fraction(acc) / d[k])
+    return out
+
+
+def _loop_sqrt(h):
+    """The plain O(n^2) loop for 2 g[t] = h[t] - sum_(1<=k<t) g[k] g[t-k], g[0] = 1."""
+    g = [1] + [0] * (len(h) - 1)
+    for t in range(1, len(h)):
+        acc = h[t]
+        for k in range(1, t):
+            acc -= g[k] * g[t - k]
+        g[t] = series._norm(Fraction(acc) / 2)
+    return g
+
+
+def _dense(rng, n, top=3):
+    return [1] + [rng.choice([v for v in range(-top, top + 1) if v]) for _ in range(n - 1)]
+
+
+def _three_recurrences(c):
+    """(inverse, log-derivative, exp) right-hand sides and divisors for c."""
+    n = len(c)
+    one = [1] + [0] * (n - 1)
+    return [(c, one, [1] * n), (c, [k * v for k, v in enumerate(c)], [1] * n),
+            ([0] + list(c[1:]), one, [1, *range(1, n)])]
+
+
+BLOCK_EDGES = (1, 2, 3, 63, 64, 65, 127, 128, 129, 257)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_solve_matches_loop_at_block_edges(n):
+    rng = random.Random(100 + n)
+    for args in _three_recurrences(_dense(rng, n)):
+        assert series._solve(*args) == _loop_solve(*args), n
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_sqrt_unit_matches_loop_at_block_edges(n):
+    rng = random.Random(200 + n)
+    f = _dense(rng, n)
+    sq = convolve(f, f, n)
+    assert series._sqrt_unit(sq) == _loop_sqrt(sq) == f
+    root = series._sqrt_unit(f)  # f is not a square: Fraction outputs
+    assert root == _loop_sqrt(f)
+    if n > 2:
+        assert any(type(v) is Fraction for v in root)
+
+
+@pytest.mark.parametrize("leaf,wide", [(2, 10**9), (3, 0), (5, 40)])
+def test_recurrences_match_loops_through_every_cross_term_path(monkeypatch, leaf, wide):
+    # tiny leaves put every order through many levels of the driver; _WIDE
+    # at 0, at a billion and in between picks the loop's cross term, the
+    # product, or each by block
+    monkeypatch.setattr(series, "_LEAF", leaf)
+    monkeypatch.setattr(series, "_WIDE", wide)
+    rng = random.Random(leaf)
+    for n in (1, 2, 7, 16, 17, 33, 40):
+        f = _dense(rng, n)
+        fr = S(0, [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n - 1)], n).coeffs
+        for c in (f, fr):
+            for args in _three_recurrences(c):
+                assert series._solve(*args) == _loop_solve(*args), (n, c)
+            assert series._sqrt_unit(c) == _loop_sqrt(c), (n, c)
+        sq = convolve(f, f, n)
+        assert series._sqrt_unit(sq) == f
+
+
+def test_recurrences_on_the_half_unit_lattice():
+    # every odd slot zero, as in exp_method_count's exponent series: the
+    # kernels run on the even sub-lattice and leave the odd slots zero
+    rng = random.Random(31)
+    for n in (129, 258):
+        c = [0] * n
+        c[::2] = _dense(rng, len(c[::2]))
+        for args in _three_recurrences(c):
+            got = series._solve(*args)
+            assert got == _loop_solve(*args) and not any(got[1::2]), n
+        got = series._sqrt_unit(c)
+        assert got == _loop_sqrt(c) and not any(got[1::2]), n
+    c = [1] + [0] * 299
+    c[3::3] = [rng.choice((-2, -1, 1, 2)) for _ in c[3::3]]
+    assert series._sqrt_unit(c) == _loop_sqrt(c)
+    assert series._solve(c, [1] + [0] * 299, [1] * 300) == _loop_solve(c, [1] + [0] * 299, [1] * 300)
+
+
+def test_solve_with_fraction_inputs():
+    # exp_neg of a dense integer series has Fraction coefficients: its log and
+    # inverse run the recurrence on rational c
+    rng = random.Random(32)
+    a = S(0, [0] + [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(149)], 150)
+    e = exp_neg(a).coeffs
+    assert any(type(v) is Fraction for v in e)
+    for args in _three_recurrences(e):
+        assert series._solve(*args) == _loop_solve(*args)
+    assert series._sqrt_unit(e) == _loop_sqrt(e)
+    assert exp_neg(a).log() == a.scale(-1)
+
+
+def test_wide_coefficient_inverse_and_log_at_1024():
+    # 1/f for dense f grows about 1.8 bits per index: past _WIDE bits the
+    # driver keeps the loop's cross term, and the outputs must not change
+    rng = random.Random(33)
+    f = _dense(rng, 1024)
+    inv, dlog, _ = _three_recurrences(f)
+    got = series._solve(*inv)
+    assert abs(got[-1]).bit_length() > 4 * series._WIDE
+    assert got == _loop_solve(*inv)
+    assert series._solve(*dlog) == _loop_solve(*dlog)
+    assert convolve(f, got, 1024) == [1] + [0] * 1023
+
+
+def test_sqrt_of_2k_plus_1_slots_matches_loop():
+    # a transform bucket's length: the root splits 513 + 512, no padding to 2048
+    rng = random.Random(34)
+    f = _dense(rng, 1025, top=2)
+    sq = convolve(f, f, 1025)
+    assert series._sqrt_unit(sq) == _loop_sqrt(sq) == f
