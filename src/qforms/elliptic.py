@@ -83,9 +83,13 @@ def singular_modulus(r):
     if r <= 0:
         raise ValueError("r must be positive")
     if r < 1:
-        dual = singular_modulus(1 / r)
+        too_small = ValueError(f"r={r} is too small: the singular modulus k_r rounds to 1")
+        try:
+            dual = singular_modulus(1 / r)
+        except ValueError:  # the nome at 1/r underflows: k_r is nearer 1 still
+            raise too_small from None
         if dual.kp == 1.0:
-            raise ValueError(f"r={r} is too small: the singular modulus k_r rounds to 1")
+            raise too_small
         return EllipticContext(r=float(r), q=math.exp(-math.pi * math.sqrt(r)),
                                k=dual.kp, kp=dual.k, K=dual.Kp, Kp=dual.K)
     q = math.exp(-math.pi * math.sqrt(r))

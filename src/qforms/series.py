@@ -320,8 +320,10 @@ class HalfLaurentSeries:
 
 # Measured on dense random inputs: blocks of at most _LEAF outputs run the
 # plain loop, whose per-pair work is cheaper than a product's packing there;
-# integer blocks wider than _WIDE bits keep the loop's cross term, because
-# the product's slots would pad the narrow operand to the wide one.
+# in _solve, integer blocks wider than _WIDE bits keep the loop's cross term,
+# because the product's slots would pad the narrow operand to the wide one
+# (inverse of a dense series at order 1024).  Square roots of wide integer
+# series have no measured workload, so _sqrt_unit always takes the product.
 _LEAF = 64
 _WIDE = 384
 
@@ -390,7 +392,9 @@ def _solve(c, rhs, d):
 
     The one linear recurrence behind inverse, log and exp_neg.  It runs on
     the sub-lattice that c and rhs populate, with c scaled to integers,
-    through the divide-and-conquer driver.
+    through the divide-and-conquer driver -- unless c is sparse, as a theta
+    series is: when the loop over the nonzero c[j] alone takes no more pairs
+    than the driver's leaves (n * _LEAF / 2), that loop runs instead.
     """
     n = len(rhs)
     s = _stride(c, rhs) or n
@@ -402,8 +406,18 @@ def _solve(c, rhs, d):
     if dc > 1:
         rhs = [dc * v for v in rhs]
         d = [dc * v for v in d]
-    crev = c[::-1]
     out = [0] * n
+    cnz = [(j, c[j]) for j in range(1, n) if c[j]]
+    if sum(n - j for j, _ in cnz) <= n * _LEAF // 2:
+        for k in range(n):
+            acc = rhs[k]
+            for j, cj in cnz:
+                if j > k:
+                    break
+                acc -= cj * out[k - j]
+            out[k] = _div(acc, d[k])
+        return out
+    crev = c[::-1]
     acc = list(rhs)
 
     def dot(k, i0, i1):
@@ -447,13 +461,8 @@ def _sqrt_unit(rel):
 
     def cross(lo, mid, hi):
         if lo:
-            block, part = g[lo:mid], g[1 : hi - lo]
-            if _wide(block, part):
-                return [2 * pairs(t, lo, mid) for t in range(mid, hi)]
-            return [2 * v for v in _product(block, part, hi - lo - 1)[mid - lo - 1 :]]
+            return [2 * v for v in _product(g[lo:mid], g[1 : hi - lo], hi - lo - 1)[mid - lo - 1 :]]
         block = g[1:mid]
-        if _wide(block):
-            return [pairs(t, t - mid + 1, mid) for t in range(mid, hi)]
         return _product(block, block, hi - 2)[mid - 2 :]
 
     _relaxed(acc, leaf, cross)

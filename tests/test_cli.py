@@ -125,7 +125,7 @@ def test_verified_paths_exit_0():
         assert proc.returncode == 0, (args, proc.stderr)
 
 
-@pytest.mark.parametrize("r,code", [("0.001", 2), ("0.005", 2), ("0.01", 0), ("0.018", 0)])
+@pytest.mark.parametrize("r,code", [("1e-05", 2), ("0.001", 2), ("0.005", 2), ("0.01", 0), ("0.018", 0)])
 def test_identity_at_small_r(r, code):
     proc = run_cli("identity", "jacobik", "--r", r)
     assert proc.returncode == code, proc.stderr

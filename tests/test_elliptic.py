@@ -113,8 +113,9 @@ def test_singular_modulus_below_one_is_the_dual_context():
 
 
 def test_singular_modulus_refuses_r_where_k_rounds_to_one():
-    for r in (0.001, 0.005):
-        with pytest.raises(ValueError, match="too small"):
+    # below about 2e-5 the dual's nome underflows too: still "too small"
+    for r in (0.001, 0.005, 1e-5, 1e-300):
+        with pytest.raises(ValueError, match=f"r={r} is too small"):
             singular_modulus(r)
 
 

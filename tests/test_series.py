@@ -430,8 +430,8 @@ def test_sqrt_unit_matches_loop_at_block_edges(n):
 @pytest.mark.parametrize("leaf,wide", [(2, 10**9), (3, 0), (5, 40)])
 def test_recurrences_match_loops_through_every_cross_term_path(monkeypatch, leaf, wide):
     # tiny leaves put every order through many levels of the driver; _WIDE
-    # at 0, at a billion and in between picks the loop's cross term, the
-    # product, or each by block
+    # at 0, at a billion and in between makes _solve pick the loop's cross
+    # term, the product, or each by block
     monkeypatch.setattr(series, "_LEAF", leaf)
     monkeypatch.setattr(series, "_WIDE", wide)
     rng = random.Random(leaf)
@@ -462,6 +462,18 @@ def test_recurrences_on_the_half_unit_lattice():
     c[3::3] = [rng.choice((-2, -1, 1, 2)) for _ in c[3::3]]
     assert series._sqrt_unit(c) == _loop_sqrt(c)
     assert series._solve(c, [1] + [0] * 299, [1] * 300) == _loop_solve(c, [1] + [0] * 299, [1] * 300)
+
+
+@pytest.mark.parametrize("leaf", [64, 2])
+def test_solve_on_a_sparse_theta_like_input(monkeypatch, leaf):
+    # c nonzero at the squares only, as theta3 is: at _LEAF = 64 the loop over
+    # the nonzero c[j] runs, at _LEAF = 2 the driver does
+    monkeypatch.setattr(series, "_LEAF", leaf)
+    c = [1] + [0] * 299
+    for m in range(1, 18):
+        c[m * m] = 2 * (-1) ** m
+    for args in _three_recurrences(c):
+        assert series._solve(*args) == _loop_solve(*args)
 
 
 def test_solve_with_fraction_inputs():
