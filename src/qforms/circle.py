@@ -149,15 +149,36 @@ def hardy_sum(x, spec=TruncationSpec()):
     return _window_mean(partials, spec.smooth_window)
 
 
-def _odd_k_partials(s, a, b_arr, k_cut):
+_TRIG = {"M": np.cos, "N": np.sin, "P": np.cos, "Q": np.sin}
+
+
+def _odd_k_partials(terms, a, b_arr, k_cut):
     """Partial sums over odd k of (-1)^((k+1)/2) trig(a + b sqrt(k))/k^s
-    for every b in b_arr; returns (cos_partials, sin_partials) of shape
-    (len(b_arr), #odd k)."""
+    for every b in b_arr, one array of shape (len(b_arr), #odd k) per
+    (which, s) in terms, trig being cos for M/P and sin for N/Q.  The phase
+    and each trig array the terms need are computed once; the partial sums
+    are made one term at a time, as the result is iterated."""
     k = np.arange(1, k_cut + 1, 2, dtype=np.float64)
     sign = np.where((((k + 1) // 2) % 2).astype(bool), -1.0, 1.0)
-    w = sign / k ** s
     phase = a + np.outer(np.asarray(b_arr, dtype=np.float64), np.sqrt(k))
-    return np.cumsum(np.cos(phase) * w, axis=1), np.cumsum(np.sin(phase) * w, axis=1)
+    trig = {f: f(phase) for f in {_TRIG[which] for which, _ in terms}}
+    return (np.cumsum(trig[_TRIG[which]] * (sign / k ** s), axis=1) for which, s in terms)
+
+
+def _pq_sums(terms, a, b, spec):
+    """Truncated P_s (which "P") and Q_s (which "Q") for every (which, s)
+    in terms: inner sums over odd k at b sqrt(n) for n <= n_cut, in blocks
+    of about 4,000,000 phases, each block's phase evaluated once for all
+    terms."""
+    n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
+    inner = np.empty((len(terms), spec.n_cut), dtype=np.float64)
+    block = max(1, 4_000_000 // max(1, spec.k_cut // 2))
+    for lo in range(0, spec.n_cut, block):
+        hi = min(lo + block, spec.n_cut)
+        for row, cp in zip(inner, _odd_k_partials(terms, a, b * np.sqrt(n[lo:hi]), spec.k_cut)):
+            row[lo:hi] = cp[:, -1]
+    return [_window_mean(np.cumsum(row / n ** s), spec.smooth_window)
+            for row, (_, s) in zip(inner, terms)]
 
 
 def oscillatory_sum(which, s, a, b, spec=TruncationSpec()):
@@ -166,19 +187,10 @@ def oscillatory_sum(which, s, a, b, spec=TruncationSpec()):
     truncated at k_cut, the reported value averages the last
     smooth_window outer partial sums."""
     if which in ("M", "N"):
-        cp, sp = _odd_k_partials(s, a, [b], spec.k_cut)
-        partials = cp[0] if which == "M" else sp[0]
-        return _window_mean(partials, spec.smooth_window)
+        (partials,) = _odd_k_partials([(which, s)], a, [b], spec.k_cut)
+        return _window_mean(partials[0], spec.smooth_window)
     if which in ("P", "Q"):
-        n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
-        inner = np.empty(spec.n_cut, dtype=np.float64)
-        block = max(1, 4_000_000 // max(1, spec.k_cut // 2))
-        for lo in range(0, spec.n_cut, block):
-            hi = min(lo + block, spec.n_cut)
-            cp, sp = _odd_k_partials(s, a, b * np.sqrt(n[lo:hi]), spec.k_cut)
-            inner[lo:hi] = cp[:, -1] if which == "P" else sp[:, -1]
-        partials = np.cumsum(inner / n ** s)
-        return _window_mean(partials, spec.smooth_window)
+        return _pq_sums([(which, s)], a, b, spec)[0]
     raise ValueError(f"unknown oscillatory sum {which!r}")
 
 
@@ -189,14 +201,15 @@ def R_expansion(x, N, spec=TruncationSpec()):
     if x <= 1:
         raise ValueError("x must exceed 1")
     a, b = math.pi / 4, 2 * math.pi * math.sqrt(x)
-    total = x ** 0.25 / math.pi * oscillatory_sum("P", 0.75, a, b, spec)
+    sums = _pq_sums([("P", s + 0.75) for s in range(N + 1)]
+                    + [("Q", s + 1.25) for s in range(N + 1)], a, b, spec)
+    P, Q = sums[:N + 1], sums[N + 1:]
+    total = x ** 0.25 / math.pi * P[0]
     for s in range(1, N + 1):
-        total += ((-1) ** s * float(c1(2 * s))
-                  * oscillatory_sum("P", s + 0.75, a, b, spec)
+        total += ((-1) ** s * float(c1(2 * s)) * P[s]
                   / (2 ** (4 * s) * math.pi ** (2 * s + 1) * x ** (s - 0.25)))
     for s in range(0, N + 1):
-        total -= ((-1) ** s * float(c1(2 * s + 1))
-                  * oscillatory_sum("Q", s + 1.25, a, b, spec)
+        total -= ((-1) ** s * float(c1(2 * s + 1)) * Q[s]
                   / (2 ** (4 * s + 2) * math.pi ** (2 * s + 2) * x ** (s + 0.25)))
     return 4.0 * total
 
@@ -220,23 +233,32 @@ def S_sum(x, spec=TruncationSpec()):
     return _window_mean(partials, spec.smooth_window)
 
 
-def G(h, x, M):
-    """sum_{n<=M} cos(2 pi sqrt(nx) + pi/4) / n^(3/4-h), compensated."""
+def _check_g(h, x, M):
     if not 0 <= h < 0.25:
         raise ValueError("h must satisfy 0 <= h < 1/4")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
     if M < 1:
         raise ValueError("M must be positive")
+
+
+def _g_cos(n, x):
+    """cos(2 pi sqrt(n x) + pi/4) at every n of the array n."""
+    return np.cos(2 * math.pi * np.sqrt(n * x) + math.pi / 4)
+
+
+def G(h, x, M):
+    """sum_{n<=M} cos(2 pi sqrt(nx) + pi/4) / n^(3/4-h), compensated."""
+    _check_g(h, x, M)
     return math.fsum(math.cos(2 * math.pi * math.sqrt(n * x) + math.pi / 4)
                      / n ** (0.75 - h) for n in range(1, M + 1))
 
 
 def g_running_sup(h, x, M_max):
     """max over 1 <= M <= M_max of |G(h, x, M)|."""
-    if not 0 <= h < 0.25:
-        raise ValueError("h must satisfy 0 <= h < 1/4")
+    _check_g(h, x, M_max)
     n = np.arange(1, M_max + 1, dtype=np.float64)
-    terms = np.cos(2 * math.pi * np.sqrt(n * x) + math.pi / 4) / n ** (0.75 - h)
-    return float(np.max(np.abs(np.cumsum(terms))))
+    return float(np.max(np.abs(np.cumsum(_g_cos(n, x) / n ** (0.75 - h)))))
 
 
 def fresnel(z):
@@ -356,10 +378,18 @@ def scan_R(x_max, step=1.0, delta=0.1, collect_rows=True):
     if not 0 <= delta < 0.25:
         raise ValueError("delta must satisfy 0 <= delta < 1/4")
     x, counts, pi_x, R, R_scaled = scan_columns(x_max, step)
-    grid = [j * x_max / 20 + 0.5 for j in range(1, 21)]
-    sup_g = max(g_running_sup(0.0, gx, 1 << 17) for gx in grid)
-    sup_g_half = max(g_running_sup(0.0, gx, 1 << 16) for gx in grid)
-    sup_g_delta = max(g_running_sup(delta, gx, 1 << 17) for gx in grid)
+    # g_running_sup at (0, 2^17), (0, 2^16) and (delta, 2^17) per grid
+    # point, from one cos array; cumsum adds in order, so the 2^16 sup is
+    # the one over the first half of the 2^17 partial sums
+    n = np.arange(1, (1 << 17) + 1, dtype=np.float64)
+    w0, w_delta = n ** 0.75, n ** (0.75 - delta)
+    sups = []
+    for gx in (j * x_max / 20 + 0.5 for j in range(1, 21)):
+        c = _g_cos(n, gx)
+        g0 = np.abs(np.cumsum(c / w0))
+        sups.append((float(np.max(g0)), float(np.max(g0[:1 << 16])),
+                     float(np.max(np.abs(np.cumsum(c / w_delta))))))
+    sup_g, sup_g_half, sup_g_delta = map(max, zip(*sups))
     summary = {
         "sup_R_scaled": float(np.max(np.abs(R_scaled))),
         "sup_G": sup_g,

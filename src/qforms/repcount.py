@@ -17,7 +17,7 @@ from operator import add
 
 from . import arith
 from .arith import ODD, ODD_SIGNED, divisor_sum, divisors, residue
-from .series import HalfLaurentSeries, _sqrt_unit, convolve, exp_neg, power
+from .series import _solve, _sqrt_unit, convolve, power
 from . import theta
 
 
@@ -531,16 +531,15 @@ def exp_method_count(terms, n_max):
             raise ValueError(f"exp route requires k > |h| > 0, got ({k}, {h})")
         if (k + h) % 2 == 0:
             raise ValueError(f"exp route requires opposite parity, got ({k}, {h})")
-    order = n_max + 1
+    # exp_neg's recurrence k e_k = -sum_j j a_j e_(k-j) on the half-unit
+    # lattice: the weight j a_j at j = 2n is 2 (-1)^n n sum_l f(n), an
+    # integer straight from the sieve
+    m = 2 * (n_max + 1)
     sums = _fkh_sums(terms, n_max)
-    a_terms = [(2 * nn, Fraction(sums[nn] if nn % 2 == 0 else -sums[nn], nn)) for nn in range(1, order)]
-    a = HalfLaurentSeries.from_terms(a_terms, 2 * order)
-    e = exp_neg(a)
-    counts = []
-    for nn in range(n_max + 1):
-        c = e.coeff(2 * nn)
-        if not isinstance(c, int):
-            raise ArithmeticError("exp transform produced a non-integer count")
-        counts.append(c)
+    w = [0] * m
+    w[2::2] = (2 * v if nn % 2 == 0 else -2 * v for nn, v in enumerate(sums[1:], 1))
+    counts = _solve(w, [1] + [0] * (m - 1), [1, *range(1, m)])[::2]
+    if not all(isinstance(c, int) for c in counts):
+        raise ArithmeticError("exp transform produced a non-integer count")
     spec = FormSpec(tuple((k, h) for k, h in terms))
     return RepTable(spec, range(n_max + 1), tuple(counts), "transform")

@@ -160,6 +160,61 @@ def test_P_at_b0_factors_into_zeta_partial():
     assert abs(oscillatory_sum("P", 1.25, 0.7, 0.0, spec) - expect) < 1e-12
 
 
+def _odd_k_reference(which, s, a, b_arr, k_cut):
+    """One P/Q inner sum per b, or the M/N partials, as one term alone
+    computes them: phase, trig, weighted running sum along k."""
+    k = np.arange(1, k_cut + 1, 2, dtype=np.float64)
+    sign = np.where((((k + 1) // 2) % 2).astype(bool), -1.0, 1.0)
+    trig = np.cos if which in "MP" else np.sin
+    phase = a + np.outer(np.asarray(b_arr, dtype=np.float64), np.sqrt(k))
+    return np.cumsum(trig(phase) * (sign / k ** s), axis=1)
+
+
+def _oscillatory_reference(which, s, a, b, spec):
+    if which in "MN":
+        return _window_mean(_odd_k_reference(which, s, a, [b], spec.k_cut)[0], spec.smooth_window)
+    n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
+    inner = np.empty(spec.n_cut, dtype=np.float64)
+    block = max(1, 4_000_000 // max(1, spec.k_cut // 2))
+    for lo in range(0, spec.n_cut, block):
+        hi = min(lo + block, spec.n_cut)
+        inner[lo:hi] = _odd_k_reference(which, s, a, b * np.sqrt(n[lo:hi]), spec.k_cut)[:, -1]
+    return _window_mean(np.cumsum(inner / n ** s), spec.smooth_window)
+
+
+def _R_expansion_reference(x, N, spec):
+    a, b = math.pi / 4, 2 * math.pi * math.sqrt(x)
+    total = x ** 0.25 / math.pi * _oscillatory_reference("P", 0.75, a, b, spec)
+    for s in range(1, N + 1):
+        total += ((-1) ** s * float(c1(2 * s))
+                  * _oscillatory_reference("P", s + 0.75, a, b, spec)
+                  / (2 ** (4 * s) * math.pi ** (2 * s + 1) * x ** (s - 0.25)))
+    for s in range(0, N + 1):
+        total -= ((-1) ** s * float(c1(2 * s + 1))
+                  * _oscillatory_reference("Q", s + 1.25, a, b, spec)
+                  / (2 ** (4 * s + 2) * math.pi ** (2 * s + 2) * x ** (s + 0.25)))
+    return 4.0 * total
+
+
+# (201, 40000, 64) runs the P/Q sums in two blocks of n, of 200 and 1
+SPECS = [TruncationSpec(201, 40000, 64), TruncationSpec(50, 7, 3)]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("which", "MNPQ")
+def test_oscillatory_sum_equals_its_one_term_formula(which, spec):
+    for s, a, b in ((0.75, math.pi / 4, 2 * math.pi * math.sqrt(25.3)), (2.25, 0.7, 3.1)):
+        assert oscillatory_sum(which, s, a, b, spec) == _oscillatory_reference(which, s, a, b, spec)
+
+
+@pytest.mark.parametrize("N", range(4))
+def test_R_expansion_equals_its_term_by_term_formula(N):
+    big, tiny = SPECS
+    assert R_expansion(25.3, N, big) == _R_expansion_reference(25.3, N, big)
+    for x in (2.5, 25.3, 1000.7):
+        assert R_expansion(x, N, tiny) == _R_expansion_reference(x, N, tiny)
+
+
 def test_oscillatory_sum_unknown_kind():
     with pytest.raises(ValueError):
         oscillatory_sum("X", 1.0, 0.0, 0.0)
@@ -205,16 +260,26 @@ def test_G_single_term():
 
 
 def test_G_parameter_domains():
-    with pytest.raises(ValueError):
-        G(0.25, 1.0, 10)
-    with pytest.raises(ValueError):
-        G(0.0, 1.0, 0)
+    # past the checks, x < 0 makes g_running_sup's sums nan and M = 0 its
+    # maximum an empty reduction
+    for fn in (G, g_running_sup):
+        for h, x, M, msg in ((0.25, 1.0, 10, "h must"), (0.0, 1.0, 0, "M must"),
+                             (0.0, -1.0, 10, "x must"), (0.0, 2.5, 0, "M must")):
+            with pytest.raises(ValueError, match=msg):
+                fn(h, x, M)
 
 
 def test_g_running_sup_matches_direct_max():
     x = 25.5
     direct = max(abs(G(0.0, x, M)) for M in range(1, 65))
     assert abs(g_running_sup(0.0, x, 64) - direct) < 1e-12
+
+
+def test_g_running_sup_is_the_max_of_its_running_sums():
+    for h, x, M in ((0.0, 25.5, 1), (0.1, 0.0, 1000), (0.2, 1e4 + 0.3, 65537)):
+        n = np.arange(1, M + 1, dtype=np.float64)
+        terms = np.cos(2 * math.pi * np.sqrt(n * x) + math.pi / 4) / n ** (0.75 - h)
+        assert g_running_sup(h, x, M) == float(np.max(np.abs(np.cumsum(terms))))
 
 
 # -- Fresnel integrals -------------------------------------------------------------------------------
@@ -320,6 +385,16 @@ def test_scan_summary_g_sups_stable():
     s = res.summary
     assert s["sup_G_halfM"] <= s["sup_G"] <= s["sup_G_halfM"] + 0.1
     assert s["sup_G_delta"] >= s["sup_G"]  # larger h weakens the decay
+
+
+@pytest.mark.parametrize("x_max", [100, 10**6])
+@pytest.mark.parametrize("delta", [0.0, 0.2])
+def test_scan_summary_g_sups_are_running_sups_on_its_grid(x_max, delta):
+    grid = [j * x_max / 20 + 0.5 for j in range(1, 21)]
+    s = scan_R(x_max, 1.0, delta, collect_rows=False).summary
+    assert s["sup_G"] == max(g_running_sup(0.0, gx, 1 << 17) for gx in grid)
+    assert s["sup_G_halfM"] == max(g_running_sup(0.0, gx, 1 << 16) for gx in grid)
+    assert s["sup_G_delta"] == max(g_running_sup(delta, gx, 1 << 17) for gx in grid)
 
 
 def test_dense_scan_sup_regression():
