@@ -7,7 +7,6 @@ Everything here is exact: integer or Fraction valued, no floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -27,56 +26,13 @@ def divisors(n):
     return small
 
 
-@dataclass(frozen=True)
-class DivisorFilter:
-    """Weight attached to each divisor in a divisor sum.
-
-    kind 'all' and 'odd' weigh matching divisors by 1; 'residue' keeps
-    d = a (mod m); 'odd-signed' weighs odd d by (-1)^((d-1)/2).
-    """
-
-    kind: str
-    a: int = 0
-    m: int = 0
-
-    def weight(self, d):
-        if self.kind == "all":
-            return 1
-        if self.kind == "odd":
-            return 1 if d % 2 == 1 else 0
-        if self.kind == "odd-signed":
-            if d % 2 == 0:
-                return 0
-            return -1 if (d - 1) // 2 % 2 else 1
-        if self.kind == "residue":
-            return 1 if d % self.m == self.a else 0
-        raise ValueError(f"unknown divisor filter kind {self.kind!r}")
-
-
-ALL = DivisorFilter("all")
-ODD = DivisorFilter("odd")
-ODD_SIGNED = DivisorFilter("odd-signed")
-
-
-def residue(a, m):
-    """Filter keeping divisors congruent to a mod m."""
-    if m < 1 or not 0 <= a < m:
-        raise ValueError("residue filter needs 0 <= a < m")
-    return DivisorFilter("residue", a, m)
-
-
-def divisor_sum(n, nu=1, flt=ALL):
-    """sum of w(d) * d^nu over divisors d of n, w given by the filter."""
-    total = 0
-    for d in divisors(n):
-        w = flt.weight(d)
-        if w:
-            total += w * d**nu
-    return total
+def divisor_sum(n, nu=1):
+    """sigma_nu(n): the sum of d^nu over the divisors d of n."""
+    return sum(d**nu for d in divisors(n))
 
 
 def sigma1(n):
-    return divisor_sum(n, 1, ALL)
+    return divisor_sum(n, 1)
 
 
 def chi0(n):
@@ -125,22 +81,6 @@ def _ratio(p, q):
     return f.numerator if f.denominator == 1 else f
 
 
-def square_indicator(t):
-    """1 when t is the square of a nonnegative integer.
-
-    Accepts exact rationals; non-integers and negatives give 0, and 0
-    itself counts as a square.
-    """
-    if isinstance(t, Fraction):
-        if t.denominator != 1:
-            return 0
-        t = t.numerator
-    if t < 0:
-        return 0
-    r = math.isqrt(t)
-    return 1 if r * r == t else 0
-
-
 def power_indicator(nu, t):
     """1 when t = m^nu for an integer m >= 0 (so 0 and 1 always count)."""
     if nu < 1:
@@ -156,13 +96,16 @@ def power_indicator(nu, t):
 
 
 def poly_indicator(coeffs, t):
-    """1 when t = A(m) for an integer m >= 0, A having positive integer coefficients.
+    """1 when t = A(m) for an integer m >= 0, A a nonconstant polynomial with
+    positive integer coefficients.
 
     coeffs lists A as (a_0, a_1, ..., a_deg).
     """
     coeffs = tuple(coeffs)
     if not coeffs or any(c < 1 for c in coeffs):
         raise ValueError("poly_indicator requires positive integer coefficients")
+    if len(coeffs) < 2:
+        raise ValueError("poly_indicator requires a nonconstant polynomial")
     if isinstance(t, Fraction):
         if t.denominator != 1:
             return 0
@@ -181,7 +124,7 @@ def indicator(kind, t):
     """Dispatch on ('square',), ('power', nu) or ('poly', coeffs)."""
     tag = kind[0]
     if tag == "square":
-        return square_indicator(t)
+        return power_indicator(2, t)
     if tag == "power":
         return power_indicator(kind[1], t)
     if tag == "poly":

@@ -16,7 +16,8 @@ from itertools import repeat
 from operator import add
 
 from . import arith
-from .arith import ODD, ODD_SIGNED, divisor_sum, divisors, residue
+from .arith import divisor_sum, divisors
+from .circle import r2_table
 from .series import _solve, _sqrt_unit, convolve, power
 from . import theta
 
@@ -135,16 +136,7 @@ def r2(n):
         raise ValueError("r2 requires n >= 0")
     if n == 0:
         return 1
-    return 4 * divisor_sum(n, 0, ODD_SIGNED)
-
-
-def _r2_list(n_max):
-    """r2(n) for 0 <= n <= n_max: one sieve adding 4 (-1)^((d-1)/2) at the
-    multiples of each odd d."""
-    out = [1] + [0] * n_max
-    for d in range(1, n_max + 1, 2):
-        out[d::d] = map(add, out[d::d], repeat(4 if d % 4 == 1 else -4))
-    return out
+    return 4 * sum(1 if d % 4 == 1 else -1 for d in divisors(n) if d % 2)
 
 
 def _bucket(n):
@@ -155,7 +147,7 @@ def _bucket(n):
 def _diagonal_counts(coeffs, n_max):
     """Counts of sum A_k x_k^2 = n for n <= n_max: the square root of the
     product of the stretched two-square series sum r2(m) q^(A_k m)."""
-    r2s = _r2_list(n_max)
+    r2s = r2_table(n_max).tolist()
     f = None
     for a in coeffs:
         stretched = [0] * (n_max + 1)
@@ -239,14 +231,11 @@ def count_poly_composed(poly, A, B, C, D, E, n):
 
 
 def _indicator_values(kind, n_max):
+    if kind[0] == "square":
+        kind = ("power", 2)
     tag = kind[0]
     vals = []
-    if tag == "square":
-        m = 0
-        while m * m <= n_max:
-            vals.append(m * m)
-            m += 1
-    elif tag == "power":
+    if tag == "power":
         nu = kind[1]
         m = 0
         while m**nu <= n_max:
@@ -325,7 +314,7 @@ def cubic_count(n):
         if d**3 == 4 * n:
             exact += 1
             continue
-        total += 2 * arith.square_indicator(Fraction(-d * d + 4 * (n // d), 3))
+        total += 2 * arith.power_indicator(2, Fraction(-d * d + 4 * (n // d), 3))
     return exact + total
 
 
@@ -348,11 +337,11 @@ def quintic_count(n, variant="amended"):
             first += 1
             continue
         inner = 5 * d**4 + 20 * (n // d)
-        if not arith.square_indicator(inner):
+        if not arith.power_indicator(2, inner):
             continue
         s1 = math.isqrt(inner)
         outer = -25 * d * d + 10 * s1
-        if not arith.square_indicator(outer):
+        if not arith.power_indicator(2, outer):
             continue
         s2 = math.isqrt(outer)
         num = 5 * d - s2
@@ -422,30 +411,24 @@ def r_N_squares(N, n_max):
 def s_m(m, n):
     """Closed form for pairs t_m(x) + t_m(y) = n (lattice convention).
 
-    Even m: a signed odd-divisor sum at n + m^2/4 (value 1 when that
-    argument is 0); odd m: 4(d_1 - d_3)(m^2 + 4n) counting divisors 1 and
-    3 mod 4.
+    Even m: r2(n + m^2/4); odd m: r2(m^2 + 4n), that is 4(d_1 - d_3)(m^2 + 4n)
+    counting divisors 1 and 3 mod 4 (all of them odd, as m^2 + 4n is).
     """
     if m < 0 or n < 0:
         raise ValueError("need m >= 0 and n >= 0")
     if m % 2 == 0:
-        k = n + (m // 2) ** 2
-        if k == 0:
-            return 1
-        return 4 * divisor_sum(k, 0, ODD_SIGNED)
-    M = m * m + 4 * n
-    return 4 * (divisor_sum(M, 0, residue(1, 4)) - divisor_sum(M, 0, residue(3, 4)))
+        return r2(n + (m // 2) ** 2)
+    return r2(m * m + 4 * n)
 
 
 def r4_closed(n):
-    """r_4(n): 8 sigma(n) for odd n, 24 * (odd-divisor sigma) for even n."""
+    """r_4(n): 8 sigma(n) for odd n, 24 sigma(odd part of n) for even n."""
     if n < 0:
         raise ValueError("r4_closed requires n >= 0")
     if n == 0:
         return 1
-    if n % 2 == 1:
-        return 8 * divisor_sum(n, 1, arith.ALL)
-    return 24 * divisor_sum(n, 1, ODD)
+    odd_part = n // (n & -n)  # n & -n is the largest power of 2 dividing n
+    return (8 if n % 2 else 24) * divisor_sum(odd_part)
 
 
 def _hurwitz6(M):
@@ -494,7 +477,7 @@ def tri_N_closed(m, N, n):
             p = m // 2
             return r4_closed(2 * n + 4 * p * p)
         p = (m - 1) // 2
-        return divisor_sum(2 * n + 4 * p * (p + 1) + 1, 1, arith.ALL)
+        return divisor_sum(2 * n + 4 * p * (p + 1) + 1)
     if N == 3:
         if m % 2 == 1:
             raise ValueError("no closed three-variable form for odd m")

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from qforms import arith, theta
-from qforms.arith import (ALL, ODD_SIGNED, chi0, chi_kh, class_number,
-                          divisor_sum, divisors, f_kh, indicator, indicator_I,
-                          reduced_forms, residue, sigma_star)
+from qforms.arith import (chi0, chi_kh, class_number, divisor_sum, divisors,
+                          f_kh, indicator, indicator_I, reduced_forms,
+                          sigma_star)
+from qforms.repcount import r2
 
 
-# -- divisors and filtered sums ----------------------------------------------
+# -- divisors and divisor sums -----------------------------------------------
 
 
 def test_divisors_basic():
@@ -27,29 +28,15 @@ def test_divisors_rejects_nonpositive():
 
 
 def test_divisor_sum_all():
-    assert divisor_sum(6, 1, ALL) == 12
-
-
-def test_divisor_sum_odd_signed_gives_r2_kernel():
-    # (1) - (5 passes with sign +1)? enumerate: d=1 -> +1, d=5 -> +1
-    assert divisor_sum(5, 0, ODD_SIGNED) == 2
-
-
-def test_divisor_sum_residue():
-    assert divisor_sum(21, 0, residue(3, 4)) == 2  # divisors 3 and 7
-
-
-def test_residue_filter_validation():
-    with pytest.raises(ValueError):
-        residue(4, 4)
-    with pytest.raises(ValueError):
-        residue(0, 0)
+    assert divisor_sum(6, 1) == divisor_sum(6) == 12
+    assert divisor_sum(6, 0) == 4
+    assert divisor_sum(6, 2) == 50
 
 
 def test_odd_signed_kernel_matches_theta_square():
     sq = theta.series(theta.theta3(), 40).square()
     for n in range(1, 40):
-        assert sq.coeff(2 * n) == 4 * divisor_sum(n, 0, ODD_SIGNED)
+        assert sq.coeff(2 * n) == r2(n)
 
 
 # -- characters ---------------------------------------------------------------
@@ -133,6 +120,9 @@ def test_poly_indicator():
     assert indicator(("poly", (1, 1, 1)), 7) == 1
     assert indicator(("poly", (1, 1, 1)), 8) == 0
     assert indicator(("poly", (1, 1, 1)), Fraction(7, 2)) == 0
+    # a constant A(m) never exceeds t, so the search for m would not end
+    with pytest.raises(ValueError, match="nonconstant"):
+        arith.poly_indicator((1,), 5)
 
 
 # -- class numbers --------------------------------------------------------------

@@ -13,8 +13,17 @@ import qforms
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args, env_extra=None):
+def child_env():
+    """os.environ with the imported qforms's source root first on PYTHONPATH,
+    so a child process runs the same package in an uninstalled checkout."""
     env = dict(os.environ)
+    src = str(Path(qforms.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(*args, env_extra=None):
+    env = child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "qforms.cli", *args],
@@ -136,7 +145,7 @@ def test_identity_at_small_r(r, code):
 def test_import_leaves_scipy_unloaded():
     # scipy is imported inside hardy_sum and fresnel only
     proc = subprocess.run([sys.executable, "-c", "import sys, qforms; print('scipy' in sys.modules)"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.stdout == "False\n", proc.stderr
 
 

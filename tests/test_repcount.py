@@ -76,11 +76,6 @@ def test_r2_matches_oracle():
         assert r2(n) == t.count(n)
 
 
-def test_r2_sieve_equals_per_n_r2():
-    assert repcount._r2_list(0) == [1]
-    assert repcount._r2_list(4000) == [r2(n) for n in range(4001)]
-
-
 # -- two-term closed form -----------------------------------------------------------
 
 
@@ -200,7 +195,8 @@ def test_count_power_sum_zero():
 
 def test_count_power_sum_refuses_bad_kinds():
     # refused before the values are enumerated: at nu = 0, m**nu never exceeds n
-    for kind in (("power", 0), ("power", -1), ("poly", (0,))):
+    # and at a constant polynomial, A(m) never does
+    for kind in (("power", 0), ("power", -1), ("poly", (0,)), ("poly", (1,))):
         with pytest.raises(ValueError):
             count_power_sum(kind, 3)
 
@@ -214,6 +210,18 @@ def test_count_power_sum_matches_enumeration():
                 direct += arith.power_indicator(nu, n - x**nu)
                 x += 1
             assert count_power_sum(("power", nu), n) == direct, (nu, n)
+
+
+def test_count_power_sum_square_and_poly_match_enumeration():
+    hits = set()  # A(m) = 1 + m + m^2 for m >= 0, up to 2000
+    m = 0
+    while 1 + m + m * m < 2000:
+        hits.add(1 + m + m * m)
+        m += 1
+    for n in range(2000):
+        assert count_power_sum(("square",), n) == oracle_odd_power_pairs(2, n, "nonneg"), n
+        direct = sum(1 for a in hits if n - a in hits)
+        assert count_power_sum(("poly", (1, 1, 1)), n) == direct, n
 
 
 # -- cubic and quintic ------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from qforms import theta
-from qforms.arith import ODD_SIGNED, divisor_sum
+from qforms.repcount import r2
 from qforms.theta import (alt_general, even_shift_check, f_neg, f_neg_product,
                           general, general_theta_via_exp, phi_product,
                           pochhammer, psi, psi_product, series, theta3,
@@ -178,4 +178,4 @@ def test_exp_route_negative_h():
 def test_theta3_square_counts_two_squares():
     sq = series(theta3(), 300).square()
     for n in range(1, 300):
-        assert sq.coeff(2 * n) == 4 * divisor_sum(n, 0, ODD_SIGNED)
+        assert sq.coeff(2 * n) == r2(n)
