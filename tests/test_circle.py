@@ -50,8 +50,9 @@ def test_lattice_count_nondecreasing():
 
 
 def test_r2_table_matches_divisor_form():
-    assert r2_table(0).tolist() == [1]
-    assert r2_table(4000).tolist() == [r2(n) for n in range(4001)]
+    arr = r2_table(2000)
+    for n in range(2001):
+        assert int(arr[n]) == r2(n), n
 
 
 # -- c1 coefficients -------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qforms import arith, repcount
+from qforms.circle import r2_table
 from qforms.repcount import (FormSpec, RepTable, count_affine, count_diagonal,
                              count_poly_composed, count_power_sum,
                              count_two_form, cubic_count, exp_method_count,
@@ -74,6 +75,12 @@ def test_r2_matches_oracle():
     t = oracle_count(FormSpec.diagonal([1, 1]), 300)
     for n in range(301):
         assert r2(n) == t.count(n)
+
+
+def test_r2_sieve_equals_per_n_r2():
+    # the table _diagonal_counts reads its r2 values from
+    assert r2_table(0).tolist() == [1]
+    assert r2_table(4000).tolist() == [r2(n) for n in range(4001)]
 
 
 # -- two-term closed form -----------------------------------------------------------
