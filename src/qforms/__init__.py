@@ -7,7 +7,6 @@ from .series import HalfLaurentSeries, exp_neg, sqrt_coeff_fdb
 from .arith import (
     divisors,
     divisor_sum,
-    sigma1,
     sigma_star,
     chi0,
     chi_kh,

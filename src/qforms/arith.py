@@ -31,10 +31,6 @@ def divisor_sum(n, nu=1):
     return sum(d**nu for d in divisors(n))
 
 
-def sigma1(n):
-    return divisor_sum(n, 1)
-
-
 def chi0(n):
     """Period-4 weight taking -2, 3, -2, 1 at n = 1, 2, 3, 0 (mod 4)."""
     r = n % 4
@@ -110,14 +106,18 @@ def poly_indicator(coeffs, t):
         if t.denominator != 1:
             return 0
         t = t.numerator
-    m = 0
-    while True:
-        v = _poly_eval(coeffs, m)
-        if v == t:
-            return 1
-        if v > t:
-            return 0
-        m += 1
+    # A is strictly increasing on m >= 0: double an upper bound on the least
+    # m with A(m) >= t, then bisect
+    lo, hi = 0, 1
+    while _poly_eval(coeffs, hi) < t:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _poly_eval(coeffs, mid) < t:
+            lo = mid + 1
+        else:
+            hi = mid
+    return 1 if _poly_eval(coeffs, lo) == t else 0
 
 
 def indicator(kind, t):

@@ -136,7 +136,7 @@ def bessel_j1(x, method="series", N=3):
 def hardy_sum(x, spec=TruncationSpec()):
     """pi x + sqrt(x) sum_n r2(n) J_1(2 pi sqrt(nx))/sqrt(n), truncated at
     n_cut and averaged over smooth_window consecutive cutoffs."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be positive")
     if float(x).is_integer():
         raise ValueError("integer x sits on a jump of the lattice count")
@@ -198,8 +198,10 @@ def R_expansion(x, N, spec=TruncationSpec()):
     """The P/Q expansion of R(x) = lattice_count(x) - pi x, with the
     remainder term dropped.  The P/Q series carry the odd-divisor kernel
     of r2(n)/4, so the whole expansion is scaled by 4 to land on R(x)."""
-    if x <= 1:
+    if not x > 1:
         raise ValueError("x must exceed 1")
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     a, b = math.pi / 4, 2 * math.pi * math.sqrt(x)
     sums = _pq_sums([("P", s + 0.75) for s in range(N + 1)]
                     + [("Q", s + 1.25) for s in range(N + 1)], a, b, spec)
@@ -216,21 +218,12 @@ def R_expansion(x, N, spec=TruncationSpec()):
 
 def S_sum(x, spec=TruncationSpec()):
     """Double (n,l) form of the scaled error series: sum over n and odd
-    p = 2l-1 of (-1)^(l-1) cos(2 pi sqrt(npx) + pi/4) / (np)^(3/4)."""
+    p = 2l-1 of (-1)^(l-1) cos(2 pi sqrt(npx) + pi/4) / (np)^(3/4), that is
+    -P_(3/4)(pi/4, 2 pi sqrt(x)) over the first k_cut odd p."""
     if x <= 0:
         raise ValueError("x must be positive")
-    n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
-    p = np.arange(1, 2 * spec.k_cut, 2, dtype=np.float64)
-    sign = np.where(np.arange(len(p)) % 2 == 0, 1.0, -1.0)
-    inner = np.empty(spec.n_cut, dtype=np.float64)
-    block = max(1, 4_000_000 // len(p))
-    for lo in range(0, spec.n_cut, block):
-        hi = min(lo + block, spec.n_cut)
-        prod = np.outer(n[lo:hi], p)
-        terms = sign * np.cos(2 * math.pi * np.sqrt(prod * x) + math.pi / 4) / prod ** 0.75
-        inner[lo:hi] = terms.sum(axis=1)
-    partials = np.cumsum(inner)
-    return _window_mean(partials, spec.smooth_window)
+    odd_p = TruncationSpec(spec.n_cut, 2 * spec.k_cut, spec.smooth_window)
+    return -_pq_sums([("P", 0.75)], math.pi / 4, 2 * math.pi * math.sqrt(x), odd_p)[0]
 
 
 def _check_g(h, x, M):
@@ -360,6 +353,8 @@ def scan_columns(x_max, step):
     <= x_max, counting through a cumulative r2 sieve."""
     if x_max < 1 or step <= 0:
         raise ValueError("need x_max >= 1 and step > 0")
+    if not (math.isfinite(x_max) and math.isfinite(step)):
+        raise ValueError("x_max and step must be finite")
     if step > x_max:
         raise ValueError(f"step {step} exceeds x_max {x_max}: the scan has no rows")
     k = np.arange(1, int(math.floor(x_max / step)) + 1, dtype=np.float64)

@@ -100,13 +100,10 @@ def _count_rows(args, lo, hi):
             raise ValueError("quad needs --diag")
         coeffs = _parse_ints(args.diag)
         method = args.method or ("closed" if len(coeffs) == 2 else "series")
-        if method == "closed":
-            if len(coeffs) != 2:
-                raise ValueError("closed two-square form needs exactly two coefficients")
-            vals = [repcount.count_two_form(coeffs[0], coeffs[1], s * n) for n in range(lo, hi + 1)]
-        else:
-            table = repcount.count_diagonal(coeffs, s * hi)
-            vals = [table.count(s * n) for n in range(lo, hi + 1)]
+        if method == "closed" and len(coeffs) != 2:
+            raise ValueError("closed two-square form needs exactly two coefficients")
+        table = repcount.count_diagonal(coeffs, s * hi)
+        vals = [table.count(s * n) for n in range(lo, hi + 1)]
         qspec = repcount.FormSpec(tuple((a, 0) for a in coeffs), scale=s)
         oracle = lambda: repcount.oracle_count(qspec, hi)
         spec = {"family": "quad", "diag": list(coeffs), "scale": s}
@@ -209,6 +206,8 @@ def _table_rows(args, lo, hi):
                 for m in range(max(lo, 3), hi + 1) if m % 4 in (0, 3)]
         return {"table": "classnumber"}, rows
     if kind == "fkh":
+        if args.k is None or args.h is None:
+            raise ValueError("fkh needs --k and --h")
         rows = [(n, arith.f_kh(args.k, args.h, n)) for n in range(max(lo, 1), hi + 1)]
         return {"table": "fkh", "k": args.k, "h": args.h}, rows
     raise ValueError(f"unknown table {kind!r}")

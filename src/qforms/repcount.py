@@ -159,21 +159,6 @@ def _diagonal_counts(coeffs, n_max):
     return tuple(counts)
 
 
-def two_form_table(A, B, n_max):
-    """Counts of A x^2 + B y^2 = n for 0 <= n <= n_max (transform route)."""
-    if A < 1 or B < 1:
-        raise ValueError("coefficients must be >= 1")
-    if math.gcd(A, B) != 1:
-        raise ValueError("two-square transform requires gcd(A, B) = 1")
-    counts = _diagonal_counts((A, B), _bucket(n_max))[: n_max + 1]
-    return RepTable(FormSpec.two_form(A, B), range(n_max + 1), counts, "transform")
-
-
-def count_two_form(A, B, n):
-    """Ordered integer pairs with A x^2 + B y^2 = n, gcd(A, B) = 1."""
-    return two_form_table(A, B, n).count(n)
-
-
 def count_diagonal(coeffs, n_max):
     """Counts for sum A_k x_k^2 = n via one square-root pass over the
     N-fold convolution of two-square counts."""
@@ -187,6 +172,11 @@ def count_diagonal(coeffs, n_max):
         raise ValueError("diagonal transform requires gcd of coefficients 1")
     counts = _diagonal_counts(tuple(coeffs), n_max)
     return RepTable(FormSpec.diagonal(coeffs), range(n_max + 1), counts, "transform")
+
+
+def count_two_form(A, B, n):
+    """Ordered integer pairs with A x^2 + B y^2 = n, gcd(A, B) = 1."""
+    return count_diagonal((A, B), _bucket(n)).count(n)
 
 
 def count_affine(A, B, C, D, E, n):
@@ -258,7 +248,9 @@ def count_power_sum(kind, n):
     if n < 0:
         raise ValueError("count_power_sum requires n >= 0")
     arith.indicator(kind, 0)  # refuses nu < 1, coefficients < 1 and unknown tags before enumerating
-    return sum(arith.indicator(kind, n - v) for v in _indicator_values(kind, n))
+    vals = _indicator_values(kind, n)
+    hits = set(vals)
+    return sum(1 for v in vals if n - v in hits)
 
 
 # -- odd power forms: cubic and quintic ----------------------------------
@@ -392,7 +384,7 @@ def tri_reduce(m, N, n):
         return _delta_counts(N, _bucket(k))[k]
     p = m // 2
     k = 2 * n + N * p * p
-    return r_N_squares(N, _bucket(k)).counts[k]
+    return _rN_counts(N, _bucket(k))[k]
 
 
 @lru_cache(maxsize=32)

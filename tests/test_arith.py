@@ -125,6 +125,12 @@ def test_poly_indicator():
         arith.poly_indicator((1,), 5)
 
 
+def test_poly_indicator_at_a_large_value():
+    t = arith._poly_eval((1, 1, 1), 10**15)
+    assert arith.poly_indicator((1, 1, 1), t) == 1
+    assert arith.poly_indicator((1, 1, 1), t + 1) == 0
+
+
 # -- class numbers --------------------------------------------------------------
 
 

@@ -246,6 +246,28 @@ def test_S_sum_stable_under_doubled_cutoffs():
     assert abs(a - b) < 0.1
 
 
+def _S_sum_outer_product(x, spec):
+    """The (n, p) outer-product sum S_sum was first written as."""
+    n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
+    p = np.arange(1, 2 * spec.k_cut, 2, dtype=np.float64)
+    sign = np.where(np.arange(len(p)) % 2 == 0, 1.0, -1.0)
+    inner = np.empty(spec.n_cut, dtype=np.float64)
+    block = max(1, 4_000_000 // len(p))
+    for lo in range(0, spec.n_cut, block):
+        hi = min(lo + block, spec.n_cut)
+        prod = np.outer(n[lo:hi], p)
+        terms = sign * np.cos(2 * math.pi * np.sqrt(prod * x) + math.pi / 4) / prod ** 0.75
+        inner[lo:hi] = terms.sum(axis=1)
+    return _window_mean(np.cumsum(inner), spec.smooth_window)
+
+
+@pytest.mark.parametrize("spec", [TruncationSpec(500, 500, 64), TruncationSpec(50, 7, 3),
+                                  TruncationSpec()])
+def test_S_sum_is_the_outer_product_sum(spec):
+    for x in (1.0, 2.5, 25.3, 49.9):
+        assert abs(S_sum(x, spec) - _S_sum_outer_product(x, spec)) <= 1e-12, x
+
+
 def test_S_sum_domain():
     with pytest.raises(ValueError):
         S_sum(0.0)

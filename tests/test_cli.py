@@ -101,6 +101,11 @@ def test_precondition_violations_exit_2():
     assert run_cli("circle", "scan", "--xmax", "1", "--step", "5").returncode == 2
     assert run_cli("count", "power", "--nu", "0", "--n", "0..5").returncode == 2
     assert run_cli("count", "power", "--nu", "-1", "--n", "0..5").returncode == 2
+    assert run_cli("table", "fkh", "--n", "1..5").returncode == 2
+    assert run_cli("circle", "rexp", "--N", "-1").returncode == 2
+    assert run_cli("circle", "scan", "--xmax", "inf").returncode == 2
+    assert run_cli("circle", "rexp", "--x", "nan").returncode == 2
+    assert run_cli("circle", "hardy", "--x", "nan").returncode == 2
 
 
 def test_cross_check_failure_exits_3():
@@ -114,6 +119,8 @@ def test_verified_paths_exit_0():
     cases = [
         ["count", "quad", "--diag", "1,2", "--n", "0..60", "--verify", "oracle"],
         ["count", "quad", "--diag", "1,1,2", "--n", "0..40", "--verify", "oracle"],
+        ["count", "quad", "--diag", "2,3", "--method", "closed", "--n", "0..200",
+         "--verify", "oracle"],
         ["count", "affine", "--diag", "1,2", "--lin", "2,4", "--const", "1",
          "--n", "0..40", "--verify", "oracle"],
         ["count", "tri", "--m", "2", "--vars", "3", "--n", "0..30", "--verify", "oracle"],

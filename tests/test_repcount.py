@@ -140,8 +140,8 @@ def test_transforms_at_a_2k_plus_1_bucket_match_oracle():
     # driver splits 513 + 512 without padding
     for A, B, n in ((1, 2, 1000), (2, 3, 777)):
         assert repcount._bucket(n) + 1 == 1025
-        t = repcount.two_form_table(A, B, n)
-        assert t.counts == oracle_count(FormSpec.two_form(A, B), n).counts, (A, B)
+        t = count_diagonal([A, B], repcount._bucket(n))
+        assert t.counts == oracle_count(FormSpec.two_form(A, B), repcount._bucket(n)).counts, (A, B)
     t = count_diagonal([3, 1, 2], 1024)
     assert t.counts == oracle_count(FormSpec.diagonal([3, 1, 2]), 1024).counts
 
@@ -220,15 +220,17 @@ def test_count_power_sum_matches_enumeration():
 
 
 def test_count_power_sum_square_and_poly_match_enumeration():
-    hits = set()  # A(m) = 1 + m + m^2 for m >= 0, up to 2000
-    m = 0
-    while 1 + m + m * m < 2000:
-        hits.add(1 + m + m * m)
-        m += 1
     for n in range(2000):
         assert count_power_sum(("square",), n) == oracle_odd_power_pairs(2, n, "nonneg"), n
-        direct = sum(1 for a in hits if n - a in hits)
-        assert count_power_sum(("poly", (1, 1, 1)), n) == direct, n
+    for coeffs in ((1, 1, 1), (2, 3), (5, 1, 2)):
+        hits = set()  # A(m) for m >= 0, up to 2000
+        m = 0
+        while arith._poly_eval(coeffs, m) < 2000:
+            hits.add(arith._poly_eval(coeffs, m))
+            m += 1
+        for n in range(2000):
+            direct = sum(1 for a in hits if n - a in hits)
+            assert count_power_sum(("poly", coeffs), n) == direct, (coeffs, n)
 
 
 # -- cubic and quintic ------------------------------------------------------------------------
@@ -313,6 +315,21 @@ def test_tri_reduce_examples():
     assert tri_reduce(2, 2, 0) == 4
     for n in range(30):
         assert tri_reduce(1, 3, n) == tri_count(1, 3, 30).count(n)
+
+
+def test_tri_reduce_even_m_tabulates_one_bucket(monkeypatch):
+    # k = 2n + N p^2 = 104 needs the 128 bucket, not the 256 one
+    seen = []
+    original = repcount._rN_counts
+
+    def record(N, n_max):
+        seen.append(n_max)
+        return original(N, n_max)
+
+    monkeypatch.setattr(repcount, "_rN_counts", record)
+    count = tri_reduce(2, 4, 50)
+    assert seen == [128]
+    assert count == r_N_squares(4, 104).count(104)
 
 
 def test_tri_reduce_matches_oracle():
