@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -136,7 +137,7 @@ def bessel_j1(x, method="series", N=3):
 def hardy_sum(x, spec=TruncationSpec()):
     """pi x + sqrt(x) sum_n r2(n) J_1(2 pi sqrt(nx))/sqrt(n), truncated at
     n_cut and averaged over smooth_window consecutive cutoffs."""
-    if not x > 0:
+    if not 0 < x < math.inf:
         raise ValueError("x must be positive")
     if float(x).is_integer():
         raise ValueError("integer x sits on a jump of the lattice count")
@@ -198,7 +199,7 @@ def R_expansion(x, N, spec=TruncationSpec()):
     """The P/Q expansion of R(x) = lattice_count(x) - pi x, with the
     remainder term dropped.  The P/Q series carry the odd-divisor kernel
     of r2(n)/4, so the whole expansion is scaled by 4 to land on R(x)."""
-    if not x > 1:
+    if not 1 < x < math.inf:
         raise ValueError("x must exceed 1")
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -229,7 +230,7 @@ def S_sum(x, spec=TruncationSpec()):
 def _check_g(h, x, M):
     if not 0 <= h < 0.25:
         raise ValueError("h must satisfy 0 <= h < 1/4")
-    if x < 0:
+    if not 0 <= x < math.inf:
         raise ValueError("x must be nonnegative")
     if M < 1:
         raise ValueError("M must be positive")
@@ -240,23 +241,30 @@ def _g_cos(n, x):
     return np.cos(2 * math.pi * np.sqrt(n * x) + math.pi / 4)
 
 
+def _g_terms(h, x, lo, hi):
+    """The terms cos(2 pi sqrt(nx) + pi/4) / n^(3/4-h) of G for lo <= n < hi."""
+    n = np.arange(lo, hi, dtype=np.float64)
+    return _g_cos(n, x) / n ** (0.75 - h)
+
+
 def G(h, x, M):
-    """sum_{n<=M} cos(2 pi sqrt(nx) + pi/4) / n^(3/4-h), compensated."""
+    """sum_{n<=M} cos(2 pi sqrt(nx) + pi/4) / n^(3/4-h), correctly rounded:
+    one fsum over the terms, made in blocks of 2^16 so memory stays bounded."""
     _check_g(h, x, M)
-    return math.fsum(math.cos(2 * math.pi * math.sqrt(n * x) + math.pi / 4)
-                     / n ** (0.75 - h) for n in range(1, M + 1))
+    block = 1 << 16
+    return math.fsum(chain.from_iterable(_g_terms(h, x, lo, min(lo + block, M + 1)).tolist()
+                                         for lo in range(1, M + 1, block)))
 
 
 def g_running_sup(h, x, M_max):
     """max over 1 <= M <= M_max of |G(h, x, M)|."""
     _check_g(h, x, M_max)
-    n = np.arange(1, M_max + 1, dtype=np.float64)
-    return float(np.max(np.abs(np.cumsum(_g_cos(n, x) / n ** (0.75 - h)))))
+    return float(np.max(np.abs(np.cumsum(_g_terms(h, x, 1, M_max + 1)))))
 
 
 def fresnel(z):
     """(F_C(z), F_S(z)) with the integral normalization cos/sin(pi t^2/2)."""
-    if z < 0:
+    if not z >= 0:
         raise ValueError("z must be nonnegative")
     from scipy.special import fresnel as fresnel_sc  # imported here, as in hardy_sum
 

@@ -63,7 +63,7 @@ def _atom(v):
     return str(v)
 
 
-def _emit(args, spec, rows, method, header=None):
+def _emit(args, spec, rows, method, header):
     if args.format == "json":
         payload = {
             "spec": spec,
@@ -90,42 +90,50 @@ def _emit(args, spec, rows, method, header=None):
 # -- count -----------------------------------------------------------------
 
 
-def _count_rows(args, lo, hi):
+def _pairs_oracle(spec, nu, domain, ns):
+    """The brute-force table of ordered pairs with x^nu + y^nu = n over ns."""
+    return lambda: repcount.RepTable(
+        spec, ns, tuple(repcount.oracle_odd_power_pairs(nu, n, domain) for n in ns), "oracle")
+
+
+def _count_rows(args):
+    lo, hi = _parse_range(args.n)
     fam = args.family
     if fam in ("cubic", "quintic"):
         lo = max(lo, 1)
+    ns = range(lo, hi + 1)
     s = args.scale
-    if fam == "quad":
+    if fam in ("quad", "affine"):
         if not args.diag:
-            raise ValueError("quad needs --diag")
+            raise ValueError(f"{fam} needs --diag")
         coeffs = _parse_ints(args.diag)
-        method = args.method or ("closed" if len(coeffs) == 2 else "series")
-        if method == "closed" and len(coeffs) != 2:
-            raise ValueError("closed two-square form needs exactly two coefficients")
-        table = repcount.count_diagonal(coeffs, s * hi)
-        vals = [table.count(s * n) for n in range(lo, hi + 1)]
-        qspec = repcount.FormSpec(tuple((a, 0) for a in coeffs), scale=s)
-        oracle = lambda: repcount.oracle_count(qspec, hi)
-        spec = {"family": "quad", "diag": list(coeffs), "scale": s}
-    elif fam == "affine":
-        if not args.diag:
-            raise ValueError("affine needs --diag")
-        A, B = _parse_ints(args.diag)
-        C, D = _parse_ints(args.lin)
-        E = args.const
-        method = "closed"
-        vals = [repcount.count_affine(A, B, C, D, E, s * n) for n in range(lo, hi + 1)]
-        aspec = repcount.FormSpec(((A, C), (B, D)), scale=s, constant=E)
-        oracle = lambda: repcount.oracle_count(aspec, hi)
-        spec = {"family": "affine", "diag": [A, B], "lin": [C, D], "const": E, "scale": s}
+        if fam == "quad":
+            method = args.method or ("closed" if len(coeffs) == 2 else "series")
+            if method == "closed" and len(coeffs) != 2:
+                raise ValueError("closed two-square form needs exactly two coefficients")
+            shift, terms, const = 0, tuple((a, 0) for a in coeffs), 0
+            spec = {"family": "quad", "diag": list(coeffs), "scale": s}
+        else:
+            A, B = coeffs
+            C, D = _parse_ints(args.lin)
+            E = args.const
+            method = "closed"
+            shift, terms, const = repcount.affine_shift(A, B, C, D, E), ((A, C), (B, D)), E
+            spec = {"family": "affine", "diag": [A, B], "lin": [C, D], "const": E, "scale": s}
+        # an affine target below 0 is the value of no pair; quad refuses one
+        clip = fam == "affine"
+        top = s * hi + shift
+        table = repcount.count_diagonal(coeffs, max(top, 0) if clip else top)
+        vals = [0 if clip and t < 0 else table.count(t) for t in (s * n + shift for n in ns)]
+        oracle = lambda: repcount.oracle_count(repcount.FormSpec(terms, scale=s, constant=const), hi)
     elif fam == "tri":
         m, N = args.m, args.vars
         method = args.method or "series"
         if method == "closed":
-            vals = [repcount.tri_N_closed(m, N, n) for n in range(lo, hi + 1)]
+            vals = [repcount.tri_N_closed(m, N, n) for n in ns]
         else:
             table = repcount.tri_count(m, N, hi, args.domain)
-            vals = [table.count(n) for n in range(lo, hi + 1)]
+            vals = [table.count(n) for n in ns]
         spec = {"family": "tri", "m": m, "vars": N, "domain": args.domain}
 
         def oracle():
@@ -133,7 +141,7 @@ def _count_rows(args, lo, hi):
                 repcount.FormSpec.triangular_sum(m, N, "lattice" if method == "closed" else args.domain), hi)
             if method == "closed" and m % 2 == 1 and N == 4:
                 # the odd-m closed form carries 1/16 of the lattice count
-                for n in range(lo, hi + 1):
+                for n in ns:
                     if table.count(n) % 16:
                         raise VerifyMismatch(f"lattice count {table.count(n)} at n={n} is not divisible by 16")
                 counts = tuple(c // 16 for c in table.counts)
@@ -141,100 +149,83 @@ def _count_rows(args, lo, hi):
             return table
     elif fam == "power":
         method = "closed"
-        vals = [repcount.count_power_sum(("power", args.nu), n) for n in range(lo, hi + 1)]
+        vals = [repcount.count_power_sum(("power", args.nu), n) for n in ns]
         spec = {"family": "power", "nu": args.nu}
-
-        def oracle():
-            counts = [repcount.oracle_odd_power_pairs(args.nu, n, "nonneg") for n in range(hi + 1)]
-            return repcount.RepTable(spec, range(hi + 1), tuple(counts), "oracle")
+        oracle = _pairs_oracle(spec, args.nu, "nonneg", ns)
     elif fam == "cubic":
         method = "closed"
-        vals = [repcount.cubic_count(n) for n in range(lo, hi + 1)]
+        vals = [repcount.cubic_count(n) for n in ns]
         spec = {"family": "cubic"}
-
-        def oracle():
-            counts = [0] + [repcount.oracle_odd_power_pairs(3, n, "integer") for n in range(1, hi + 1)]
-            return repcount.RepTable(spec, range(hi + 1), tuple(counts), "oracle")
+        oracle = _pairs_oracle(spec, 3, "integer", ns)
     elif fam == "quintic":
         method = args.variant
-        vals = [repcount.quintic_count(n, args.variant) for n in range(lo, hi + 1)]
+        vals = [repcount.quintic_count(n, args.variant) for n in ns]
         spec = {"family": "quintic", "variant": args.variant}
-
-        def oracle():
-            counts = [repcount.oracle_odd_power_pairs(5, n, "nonneg") for n in range(hi + 1)]
-            return repcount.RepTable(spec, range(hi + 1), tuple(counts), "oracle")
-    elif fam == "expmethod":
+        oracle = _pairs_oracle(spec, 5, "nonneg", ns)
+    else:  # expmethod
         if not args.terms:
             raise ValueError("expmethod needs --terms")
         terms = _parse_terms(args.terms)
         method = "transform"
         table = repcount.exp_method_count(terms, hi)
-        vals = [table.count(n) for n in range(lo, hi + 1)]
+        vals = [table.count(n) for n in ns]
         oracle = lambda: repcount.oracle_count(repcount.FormSpec(terms), hi)
         spec = {"family": "expmethod", "terms": [list(t) for t in terms]}
-    else:
-        raise ValueError(f"unknown count family {fam!r}")
 
     if args.verify == "oracle":
         ref = oracle()
-        for n, v in zip(range(lo, hi + 1), vals):
+        for n, v in zip(ns, vals):
             want = ref.count(n)
             if v != want:
                 raise VerifyMismatch(f"{fam}: value {v} at n={n} but oracle gives {want}")
-    rows = [(n, v, method) for n, v in zip(range(lo, hi + 1), vals)]
-    return spec, rows, method
+    return spec, [(n, v, method) for n, v in zip(ns, vals)], method, None
 
 
 # -- table -----------------------------------------------------------------
 
 
-def _table_rows(args, lo, hi):
+def _table_rows(args):
+    lo, hi = _parse_range(args.n)
     kind = args.kind
     if kind == "sigma":
         rows = [(n, arith.sigma_star(args.a, n)) for n in range(max(lo, 1), hi + 1)]
-        return {"table": "sigma", "a": args.a}, rows
-    if kind == "chi":
-        if args.k is not None:
-            if args.h is None:
-                raise ValueError("chi with --k needs --h")
-            rows = [(n, arith.chi_kh(args.k, args.h, n)) for n in range(max(lo, 1), hi + 1)]
-            return {"table": "chi", "k": args.k, "h": args.h}, rows
+        spec = {"table": "sigma", "a": args.a}
+    elif kind == "chi" and args.k is not None:
+        if args.h is None:
+            raise ValueError("chi with --k needs --h")
+        rows = [(n, arith.chi_kh(args.k, args.h, n)) for n in range(max(lo, 1), hi + 1)]
+        spec = {"table": "chi", "k": args.k, "h": args.h}
+    elif kind == "chi":
         rows = [(n, arith.chi0(n)) for n in range(max(lo, 1), hi + 1)]
-        return {"table": "chi", "kind": "chi0"}, rows
-    if kind == "classnumber":
+        spec = {"table": "chi", "kind": "chi0"}
+    elif kind == "classnumber":
         rows = [(-m, arith.class_number(-m))
                 for m in range(max(lo, 3), hi + 1) if m % 4 in (0, 3)]
-        return {"table": "classnumber"}, rows
-    if kind == "fkh":
+        spec = {"table": "classnumber"}
+    else:  # fkh
         if args.k is None or args.h is None:
             raise ValueError("fkh needs --k and --h")
         rows = [(n, arith.f_kh(args.k, args.h, n)) for n in range(max(lo, 1), hi + 1)]
-        return {"table": "fkh", "k": args.k, "h": args.h}, rows
-    raise ValueError(f"unknown table {kind!r}")
+        spec = {"table": "fkh", "k": args.k, "h": args.h}
+    return spec, rows, "exact", None
 
 
 # -- theta -----------------------------------------------------------------
 
 
+_THETA_KINDS = {"theta3": theta.theta3, "phi": theta.phi, "psi": theta.psi, "fneg": theta.f_neg}
+
+
 def _theta_series(args):
-    kind = args.kind
-    if kind == "theta3":
-        return theta.theta3()
-    if kind == "phi":
-        return theta.phi()
-    if kind == "psi":
-        return theta.psi()
-    if kind == "fneg":
-        return theta.f_neg()
-    if kind == "general":
+    if args.kind == "general":
         if args.k is None or args.h is None:
             raise ValueError("general theta needs --k and --h")
         return theta.alt_general(args.k, args.h) if args.alt else theta.general(args.k, args.h)
-    if kind == "triangular":
+    if args.kind == "triangular":
         if args.m is None:
             raise ValueError("triangular theta needs --m")
         return theta.triangular(args.m)
-    raise ValueError(f"unknown theta kind {kind!r}")
+    return _THETA_KINDS[args.kind]()
 
 
 def _theta_rows(args):
@@ -243,7 +234,7 @@ def _theta_rows(args):
     for e in s.support():
         c = Fraction(s.coeff(e))
         rows.append((e, c.numerator, c.denominator))
-    return {"theta": args.kind, "order": args.order}, rows
+    return {"theta": args.kind, "order": args.order}, rows, "exact", None
 
 
 # -- identity ----------------------------------------------------------------
@@ -254,37 +245,27 @@ _TOLS = {"jacobik": 1e-10, "lambert": 1e-10, "app1": 1e-8, "sinh": 1e-10}
 
 def _identity_rows(args):
     which = args.which
-    if which == "jacobik":
-        res = elliptic.identity_check("jacobiK", r=args.r)
-        params = f"r={_atom(float(args.r))}"
-    elif which == "lambert":
-        res = elliptic.identity_check("lambert", r=args.r)
-        params = f"r={_atom(float(args.r))}"
-    elif which == "app1":
-        res = elliptic.identity_check("application1", A=args.A, B=args.B,
-                                      C=args.C, D=args.D, r=args.r)
-        params = f"A={args.A};B={args.B};C={args.C};D={args.D};r={_atom(float(args.r))}"
-    elif which == "sinh":
-        res = elliptic.sinh_identity_check(args.variant, args.x, k=args.k, h=args.h)
-        params = f"variant={args.variant};x={_atom(args.x)}"
-        if args.variant == "eq69":
-            params += f";k={args.k};h={args.h}"
-    elif which == "tripleproduct":
-        ok = theta.triple_product_check(args.p, args.order)
-        res = 0.0 if ok else 1.0
+    if which == "tripleproduct":
         params = f"p={args.p};order={args.order}"
-        row = (which, params, res, ok)
-        if not ok:
+        if not theta.triple_product_check(args.p, args.order):
             raise VerifyMismatch(f"triple product mismatch at p={args.p}, order={args.order}")
-        return {"identity": which, "params": params}, [row]
+        res = 0.0
     else:
-        raise ValueError(f"unknown identity {which!r}")
-    tol = _TOLS["sinh" if which == "sinh" else which]
-    ok = res < tol
-    row = (which, params, res, ok)
-    if not ok:
-        raise VerifyMismatch(f"identity {which} residual {res:.3e} exceeds {tol:g}")
-    return {"identity": which, "params": params}, [row]
+        if which in ("jacobik", "lambert"):
+            res = elliptic.identity_check("jacobiK" if which == "jacobik" else which, r=args.r)
+            params = f"r={_atom(float(args.r))}"
+        elif which == "app1":
+            res = elliptic.identity_check("application1", A=args.A, B=args.B,
+                                          C=args.C, D=args.D, r=args.r)
+            params = f"A={args.A};B={args.B};C={args.C};D={args.D};r={_atom(float(args.r))}"
+        else:  # sinh
+            res = elliptic.sinh_identity_check(args.variant, args.x, k=args.k, h=args.h)
+            params = f"variant={args.variant};x={_atom(args.x)}"
+            if args.variant == "eq69":
+                params += f";k={args.k};h={args.h}"
+        if not res < _TOLS[which]:
+            raise VerifyMismatch(f"identity {which} residual {res:.3e} exceeds {_TOLS[which]:g}")
+    return {"identity": which, "params": params}, [(which, params, res, True)], "numeric", None
 
 
 # -- circle ------------------------------------------------------------------
@@ -297,34 +278,36 @@ def _trunc(args):
 
 def _circle_rows(args):
     sub = args.op
+    if args.verify == "oracle" and sub not in ("hardy", "rexp"):
+        raise ValueError(f"circle {sub} has no oracle: --verify oracle checks hardy and rexp")
+    header = None
     if sub == "scan":
         x, counts, pi_x, R, Rs = circle.scan_columns(args.xmax, args.step)
         rows = [(float(a), int(b), float(c), float(d), float(e))
                 for a, b, c, d, e in zip(x, counts, pi_x, R, Rs)]
         spec = {"circle": "scan", "xmax": args.xmax, "step": args.step}
-        return spec, rows, "x,count,pi_x,R,R_scaled"
-    if sub == "hardy":
+        header = "x,count,pi_x,R,R_scaled"
+    elif sub == "hardy":
         val = circle.hardy_sum(args.x, _trunc(args))
         if args.verify == "oracle":
             exact = circle.lattice_count(args.x)
             if abs(val - exact) > 0.3:
                 raise VerifyMismatch(f"hardy value {val:.6f} misses exact {exact} by more than 0.3")
-        return {"circle": "hardy", "x": args.x}, [(args.x, val)], None
-    if sub == "rexp":
+        spec, rows = {"circle": "hardy", "x": args.x}, [(args.x, val)]
+    elif sub == "rexp":
         val = circle.R_expansion(args.x, args.N, _trunc(args))
         if args.verify == "oracle":
             exact = circle.lattice_count(args.x) - math.pi * args.x
             if abs(val - exact) > 0.5:
                 raise VerifyMismatch(f"expansion value {val:.6f} misses exact {exact:.6f} by more than 0.5")
-        return {"circle": "rexp", "x": args.x, "N": args.N}, [(args.x, args.N, val)], None
-    if sub == "fresnel":
+        spec, rows = {"circle": "rexp", "x": args.x, "N": args.N}, [(args.x, args.N, val)]
+    elif sub == "fresnel":
         C, S = circle.fresnel(args.z)
-        return {"circle": "fresnel", "z": args.z}, [(args.z, C, S)], None
-    if sub == "dm":
+        spec, rows = {"circle": "fresnel", "z": args.z}, [(args.z, C, S)]
+    else:  # dm
         val = circle.G(args.h, args.x, args.M)
-        return {"circle": "dm", "h": args.h, "x": args.x, "M": args.M}, \
-            [(args.x, args.M, val)], None
-    raise ValueError(f"unknown circle op {sub!r}")
+        spec, rows = {"circle": "dm", "h": args.h, "x": args.x, "M": args.M}, [(args.x, args.M, val)]
+    return spec, rows, "numeric", header
 
 
 # -- wiring ------------------------------------------------------------------
@@ -335,11 +318,16 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_default="0..20"):
-        sp.add_argument("--n", default=n_default, help="target range A..B or single N")
+    def common(sp, rows, n_default=None, verify=True):
+        """The output flags every subcommand takes, --n where it reads a
+        range, --verify where it has an oracle, and its row handler."""
+        if n_default:
+            sp.add_argument("--n", default=n_default, help="target range A..B or single N")
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--verify", choices=("oracle", "none"), default="none")
+        if verify:
+            sp.add_argument("--verify", choices=("oracle", "none"), default="none")
+        sp.set_defaults(rows=rows)
 
     pc = sub.add_parser("count", help="representation counts")
     pc.add_argument("family", choices=("quad", "affine", "tri", "power",
@@ -356,14 +344,14 @@ def _build_parser():
     pc.add_argument("--variant", choices=("amended", "as-printed"), default="amended")
     pc.add_argument("--terms", help="expmethod terms k1:h1,k2:h2")
     pc.add_argument("--method", choices=("closed", "series"), default=None)
-    common(pc)
+    common(pc, _count_rows, "0..20")
 
     pt = sub.add_parser("table", help="arithmetic tables")
     pt.add_argument("kind", choices=("sigma", "chi", "classnumber", "fkh"))
     pt.add_argument("--a", type=int, default=1)
     pt.add_argument("--k", type=int, default=None)
     pt.add_argument("--h", type=int, default=None)
-    common(pt, "1..20")
+    common(pt, _table_rows, "1..20", verify=False)
 
     pth = sub.add_parser("theta", help="exact series coefficients")
     pth.add_argument("kind", choices=("theta3", "phi", "psi", "fneg",
@@ -374,8 +362,7 @@ def _build_parser():
     pth.add_argument("--alt", action="store_true",
                      help="alternating signs (-1)^n on the lattice sum")
     pth.add_argument("--m", type=int, default=None)
-    pth.add_argument("--out", default=None)
-    pth.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(pth, _theta_rows, verify=False)
 
     pi = sub.add_parser("identity", help="numeric identity residuals")
     pi.add_argument("which", choices=("jacobik", "lambert", "app1", "sinh",
@@ -391,8 +378,7 @@ def _build_parser():
     pi.add_argument("--h", type=int, default=None)
     pi.add_argument("--p", type=int, default=3)
     pi.add_argument("--order", type=int, default=60)
-    pi.add_argument("--out", default=None)
-    pi.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(pi, _identity_rows, verify=False)
 
     pci = sub.add_parser("circle", help="lattice-count scans and series diagnostics")
     pci.add_argument("op", choices=("scan", "hardy", "rexp", "fresnel", "dm"))
@@ -406,32 +392,13 @@ def _build_parser():
     pci.add_argument("--ncut", type=int, default=2000)
     pci.add_argument("--kcut", type=int, default=2000)
     pci.add_argument("--window", type=int, default=64)
-    pci.add_argument("--out", default=None)
-    pci.add_argument("--format", choices=("csv", "json"), default="csv")
-    pci.add_argument("--verify", choices=("oracle", "none"), default="none")
+    common(pci, _circle_rows)
     return p
 
 
 def run(argv):
     args = _build_parser().parse_args(argv)
-    if args.command == "count":
-        lo, hi = _parse_range(args.n)
-        spec, rows, method = _count_rows(args, lo, hi)
-        return _emit(args, spec, rows, method)
-    if args.command == "table":
-        lo, hi = _parse_range(args.n)
-        spec, rows = _table_rows(args, lo, hi)
-        return _emit(args, spec, rows, "exact")
-    if args.command == "theta":
-        spec, rows = _theta_rows(args)
-        return _emit(args, spec, rows, "exact")
-    if args.command == "identity":
-        spec, rows = _identity_rows(args)
-        return _emit(args, spec, rows, "numeric")
-    if args.command == "circle":
-        spec, rows, header = _circle_rows(args)
-        return _emit(args, spec, rows, "numeric", header=header)
-    raise ValueError(f"unknown command {args.command!r}")
+    return _emit(args, *args.rows(args))
 
 
 def main(argv=None):

@@ -35,18 +35,12 @@ def _agm_K(b):
 
 def theta_numeric(kind, q):
     """theta2 or theta3 at real q, summed until terms fall below 1e-17
+    (theta2) or 1e-18 (theta3, the lattice sum of _theta_like_sum)
     relative.  q = 0.0 is allowed and gives the constant term."""
     if not 0 <= q < 1:
         raise ValueError("q must satisfy 0 <= q < 1")
     if kind == "theta3":
-        total = 1.0
-        n = 1
-        while True:
-            t = 2.0 * q ** (n * n)
-            total += t
-            if t < 1e-17 * total:
-                return total
-            n += 1
+        return _theta_like_sum(q, 1, 0)
     if kind == "theta2":
         if q == 0.0:
             return 0.0
@@ -114,7 +108,8 @@ def multiplier(n, r):
 
 def _theta_like_sum(q, a, c):
     """q^(c^2/4a) times the sum over all integers n of q^(a n^2 + c n), for
-    0 < q < 1 and 2a | c: the terms q^((2a n + c)^2/4a) are all at most 1."""
+    0 < q < 1 (q = 0 too when c = 0) and 2a | c: the terms q^((2a n + c)^2/4a)
+    are all at most 1."""
     total = q ** (c * c // (4 * a))
     n = 1
     while True:

@@ -57,14 +57,6 @@ class FormSpec:
     def triangular_sum(cls, m, N, convention="lattice"):
         return cls(tuple((1, m) for _ in range(N)), scale=2, convention=convention)
 
-    def describe(self):
-        body = "+".join(f"{a}x{i}^2{b:+d}x{i}" if b else f"{a}x{i}^2" for i, (a, b) in enumerate(self.terms))
-        if self.constant:
-            body += f"{self.constant:+d}"
-        if self.scale != 1:
-            body = f"({body})/{self.scale}"
-        return f"{body} [{self.convention}]"
-
 
 @dataclass(frozen=True)
 class RepTable:
@@ -179,19 +171,26 @@ def count_two_form(A, B, n):
     return count_diagonal((A, B), _bucket(n)).count(n)
 
 
-def count_affine(A, B, C, D, E, n):
-    """Ordered integer pairs with A x^2 + B y^2 + C x + D y + E = n.
+def affine_shift(A, B, C, D, E):
+    """The k with A x^2 + B y^2 + C x + D y + E = n exactly when
+    A (x + C/2A)^2 + B (y + D/2B)^2 = n + k, that is C^2/4A + D^2/4B - E.
 
-    Requires 2A | C and 2B | D (integer square completion) and gcd(A, B) = 1.
+    Requires 2A | C and 2B | D, so that the completed squares are integral.
     """
     if A < 1 or B < 1:
         raise ValueError("A and B must be >= 1")
     if C % (2 * A) != 0 or D % (2 * B) != 0:
         raise ValueError("affine shift requires 2A | C and 2B | D")
-    shifted = n + (C * C) // (4 * A) + (D * D) // (4 * B) - E
-    if shifted < 0:
-        return 0
-    return count_two_form(A, B, shifted)
+    return (C * C) // (4 * A) + (D * D) // (4 * B) - E
+
+
+def count_affine(A, B, C, D, E, n):
+    """Ordered integer pairs with A x^2 + B y^2 + C x + D y + E = n.
+
+    Requires 2A | C and 2B | D (integer square completion) and gcd(A, B) = 1.
+    """
+    shifted = n + affine_shift(A, B, C, D, E)
+    return count_two_form(A, B, shifted) if shifted >= 0 else 0
 
 
 def integer_roots(coeffs, target):

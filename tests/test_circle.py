@@ -224,8 +224,9 @@ def test_oscillatory_sum_unknown_kind():
 
 
 def test_R_expansion_requires_x_above_one():
-    with pytest.raises(ValueError):
-        R_expansion(1.0, 0)
+    for x in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="x must exceed 1"):
+            R_expansion(x, 0)
 
 
 def test_R_expansion_close_to_exact_error():
@@ -282,13 +283,24 @@ def test_G_single_term():
 
 
 def test_G_parameter_domains():
-    # past the checks, x < 0 makes g_running_sup's sums nan and M = 0 its
+    # past the checks, x < 0 or a non-finite x makes the sums nan (np.cos
+    # returns nan at inf without raising) and M = 0 makes g_running_sup's
     # maximum an empty reduction
     for fn in (G, g_running_sup):
         for h, x, M, msg in ((0.25, 1.0, 10, "h must"), (0.0, 1.0, 0, "M must"),
-                             (0.0, -1.0, 10, "x must"), (0.0, 2.5, 0, "M must")):
+                             (0.0, -1.0, 10, "x must"), (0.0, 2.5, 0, "M must"),
+                             (0.0, math.inf, 10, "x must"), (0.0, math.nan, 10, "x must")):
             with pytest.raises(ValueError, match=msg):
                 fn(h, x, M)
+
+
+def test_G_is_one_correctly_rounded_sum_across_blocks():
+    # G sums its terms in blocks of 2^16 into one fsum: at every M, blocks
+    # or not, it equals the fsum of the whole term array
+    for h, x, M in ((0.0, 2.5, 65535), (0.1, 7.3, 65536), (0.0, 0.7, 65537), (0.2, 19.1, 140000)):
+        n = np.arange(1, M + 1, dtype=np.float64)
+        terms = np.cos(2 * math.pi * np.sqrt(n * x) + math.pi / 4) / n ** (0.75 - h)
+        assert G(h, x, M) == math.fsum(terms.tolist()), (h, x, M)
 
 
 def test_g_running_sup_matches_direct_max():
@@ -326,8 +338,10 @@ def test_fresnel_matches_quadrature():
 
 
 def test_fresnel_rejects_negative():
-    with pytest.raises(ValueError):
-        fresnel(-1.0)
+    for z in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="z must be nonnegative"):
+            fresnel(z)
+    assert fresnel(math.inf) == (0.5, 0.5)
 
 
 def test_fresnel_closed_sum_envelope():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qforms
+from qforms import cli, repcount
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,6 +71,30 @@ def test_taxicab_count_line():
     assert proc.stdout == "1729,4,closed\n"
 
 
+def test_quad_refuses_negative_targets():
+    proc = run_cli("count", "quad", "--diag", "1,2", "--n=-3..5")
+    assert (proc.returncode, proc.stderr) == (2, "qforms: -3 outside tabulated range\n")
+    proc = run_cli("count", "quad", "--diag", "1,2", "--n=-3..-1")
+    assert (proc.returncode, proc.stderr) == (2, "qforms: n_max must be nonnegative\n")
+
+
+def test_affine_range_reads_one_diagonal_table(monkeypatch, capsys):
+    want = [repcount.count_affine(1, 2, 2, 4, 0, n) for n in (0, 3, 1999)]
+    calls = []
+    count_diagonal = repcount.count_diagonal
+
+    def counted(coeffs, n_max):
+        calls.append(n_max)
+        return count_diagonal(coeffs, n_max)
+
+    monkeypatch.setattr(repcount, "count_diagonal", counted)
+    assert cli.main(["count", "affine", "--diag", "1,2", "--lin", "2,4", "--n", "0..2000"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2001
+    assert [rows[n] for n in (0, 3, 1999)] == [f"{n},{c},closed" for n, c in zip((0, 3, 1999), want)]
+    assert calls == [2000 + repcount.affine_shift(1, 2, 2, 4, 0)]
+
+
 def test_two_form_at_zero():
     proc = run_cli("count", "quad", "--diag", "1,2", "--n", "0", "--method", "closed")
     assert proc.returncode == 0
@@ -83,6 +108,7 @@ def test_usage_error_exits_1():
     assert run_cli("count", "bogus").returncode == 1
     assert run_cli("frobnicate").returncode == 1
     assert run_cli("count", "quad", "--format", "xml").returncode == 1
+    assert run_cli("table", "sigma", "--n", "1..5", "--verify", "oracle").returncode == 1
 
 
 def test_bad_thread_env_exits_1():
@@ -106,6 +132,13 @@ def test_precondition_violations_exit_2():
     assert run_cli("circle", "scan", "--xmax", "inf").returncode == 2
     assert run_cli("circle", "rexp", "--x", "nan").returncode == 2
     assert run_cli("circle", "hardy", "--x", "nan").returncode == 2
+    assert run_cli("count", "affine", "--diag", "2,2", "--const", "100", "--n", "0..5").returncode == 2
+    assert run_cli("circle", "hardy", "--x", "inf").returncode == 2
+    assert run_cli("circle", "rexp", "--x", "inf").returncode == 2
+    assert run_cli("circle", "dm", "--x", "nan").returncode == 2
+    assert run_cli("circle", "fresnel", "--z", "nan").returncode == 2
+    for op in ("scan", "fresnel", "dm"):
+        assert run_cli("circle", op, "--verify", "oracle").returncode == 2
 
 
 def test_cross_check_failure_exits_3():
@@ -123,6 +156,8 @@ def test_verified_paths_exit_0():
          "--verify", "oracle"],
         ["count", "affine", "--diag", "1,2", "--lin", "2,4", "--const", "1",
          "--n", "0..40", "--verify", "oracle"],
+        ["count", "affine", "--diag", "1,3", "--lin", "2,6", "--const", "-5", "--scale", "2",
+         "--n", "0..60", "--verify", "oracle"],
         ["count", "tri", "--m", "2", "--vars", "3", "--n", "0..30", "--verify", "oracle"],
         ["count", "tri", "--m", "3", "--vars", "4", "--method", "closed",
          "--n", "0..30", "--verify", "oracle"],
@@ -158,7 +193,8 @@ def test_import_leaves_scipy_unloaded():
 
 def test_help_exits_0():
     assert run_cli("--help").returncode == 0
-    assert run_cli("count", "--help").returncode == 0
+    for command in ("count", "table", "theta", "identity", "circle"):
+        assert run_cli(command, "--help").returncode == 0
 
 
 # -- output plumbing ----------------------------------------------------------------
