@@ -11,19 +11,25 @@ from fractions import Fraction
 
 
 def divisors(n):
-    """Positive divisors of n >= 1, ascending."""
+    """Positive divisors of n >= 1, ascending, expanded from n's factorization
+    by trial division (2, then odd p while p^2 <= the unfactored part)."""
     if n < 1:
         raise ValueError("divisors requires n >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    small.extend(reversed(large))
-    return small
+    divs = [1]
+    p, step = 2, 1
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            divs = [d * p**e for e in range(k + 1) for d in divs]
+        p += step
+        step = 2
+    if n > 1:
+        divs += [d * n for d in divs]
+    divs.sort()
+    return divs
 
 
 def divisor_sum(n, nu=1):
@@ -53,7 +59,11 @@ def f_kh(k, h, n):
     """(1/n) * sum of chi_kh(d) * d over divisors d of n, exact."""
     if n < 1:
         raise ValueError("f_kh requires n >= 1")
-    s = sum(d for d in divisors(n) if chi_kh(k, h, d))
+    if k < 1:
+        raise ValueError("chi_kh requires k >= 1")
+    m = 2 * k
+    hits = {0, (k + h) % m, (k - h) % m}  # the residues where chi_kh is 1
+    s = sum(d for d in divisors(n) if d % m in hits)
     return _ratio(s, n)
 
 
@@ -154,27 +164,26 @@ def _iroot(t, nu):
 
 
 def reduced_forms(D):
-    """Primitive reduced binary quadratic forms (a, b, c) of discriminant D < 0.
+    """Primitive reduced binary quadratic forms (a, b, c) of discriminant D < 0,
+    ascending.
 
-    Reduction: |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.
+    Reduction: |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.  The
+    walk is b-major (H. Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 5.3.5): a runs over the divisors of ac = (b^2 - D)/4 in
+    [b, sqrt(ac)], and (a, -b, c) joins (a, b, c) when 0 < b < a < c.
     """
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
     forms = []
-    amax = math.isqrt(-D // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + (a + D) % 2, a + 1, 2):
-            num = b * b - D
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (b == -a or a == c):
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
-                continue
-            forms.append((a, b, c))
+    for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
+        ac = (b * b - D) // 4
+        for a in [a for a in range(max(b, 1), math.isqrt(ac) + 1) if not ac % a]:
+            c = ac // a
+            if math.gcd(a, b, c) == 1:
+                forms.append((a, b, c))
+                if 0 < b < a < c:
+                    forms.append((a, -b, c))
+    forms.sort()
     return forms
 
 

@@ -74,7 +74,7 @@ def singular_modulus(r):
     For r < 1 it is the context at 1/r with k and k', K and K' swapped
     (k_r' = k_(1/r)): computing K(k_r) from k_r near 1 would cancel.
     """
-    if r <= 0:
+    if not r > 0:  # NaN too
         raise ValueError("r must be positive")
     if r < 1:
         too_small = ValueError(f"r={r} is too small: the singular modulus k_r rounds to 1")
@@ -209,7 +209,7 @@ def sinh_identity_check(which, x, X=None, k=None, h=None):
             constant drops under the derivative).
     eq69:   X = chi_{k,h}, RHS from log of the alternating lattice sum.
     """
-    if x <= 0:
+    if not 0 < x < math.inf:
         raise ValueError("x must be positive")
     n_max = int(44.0 / x) + 12
     if which == "prop6":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add
@@ -305,7 +304,9 @@ def cubic_count(n):
         if d**3 == 4 * n:
             exact += 1
             continue
-        total += 2 * arith.power_indicator(2, Fraction(-d * d + 4 * (n // d), 3))
+        t, r = divmod(4 * (n // d) - d * d, 3)
+        if t >= 0 and r == 0 and math.isqrt(t) ** 2 == t:
+            total += 2
     return exact + total
 
 
@@ -328,13 +329,13 @@ def quintic_count(n, variant="amended"):
             first += 1
             continue
         inner = 5 * d**4 + 20 * (n // d)
-        if not arith.power_indicator(2, inner):
-            continue
         s1 = math.isqrt(inner)
         outer = -25 * d * d + 10 * s1
-        if not arith.power_indicator(2, outer):
-            continue
+        if outer < 0:  # so is every later divisor's, and its d^5 > 16 n
+            break
         s2 = math.isqrt(outer)
+        if s1 * s1 != inner or s2 * s2 != outer:
+            continue
         num = 5 * d - s2
         if num % 10 != 0:
             continue

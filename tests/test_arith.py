@@ -22,6 +22,21 @@ def test_divisors_basic():
     assert divisors(97) == [1, 97]
 
 
+def test_divisors_match_a_sieve():
+    N = 10**4
+    sieve = [[] for _ in range(N + 1)]
+    for d in range(1, N + 1):
+        for m in range(d, N + 1, d):
+            sieve[m].append(d)
+    assert all(divisors(n) == sieve[n] for n in range(1, N + 1))
+
+
+def test_divisors_of_large_n():
+    assert divisors(10**12) == sorted(2**i * 5**j for i in range(13) for j in range(13))
+    assert divisors(2**40) == [2**i for i in range(41)]
+    assert divisors(999983 * 1000003) == [1, 999983, 1000003, 999983 * 1000003]
+
+
 def test_divisors_rejects_nonpositive():
     with pytest.raises(ValueError):
         divisors(0)
@@ -166,3 +181,30 @@ def test_class_number_positive_through_minus_4000():
     for D in range(-4000, 0):
         if D % 4 in (0, 1):
             assert class_number(D) >= 1
+
+
+def _reduced_forms_a_major(D):
+    """The a-major reduced-form loop: every (a, b) with |b| <= a <= sqrt(|D|/3)."""
+    forms = []
+    for a in range(1, math.isqrt(-D // 3) + 1):
+        for b in range(-a + (a + D) % 2, a + 1, 2):
+            num = b * b - D
+            if num % (4 * a) != 0:
+                continue
+            c = num // (4 * a)
+            if c < a or (b < 0 and (b == -a or a == c)):
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) == 1:
+                forms.append((a, b, c))
+    return forms
+
+
+def test_reduced_forms_match_the_a_major_loop():
+    for D in range(-6000, 0):
+        if D % 4 in (0, 1):
+            assert reduced_forms(D) == _reduced_forms_a_major(D), D
+
+
+def test_class_number_one_discriminants():
+    ones = [D for D in range(-5000, 0) if D % 4 in (0, 1) and class_number(D) == 1]
+    assert ones == [-163, -67, -43, -28, -27, -19, -16, -12, -11, -8, -7, -4, -3]

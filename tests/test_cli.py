@@ -141,6 +141,13 @@ def test_precondition_violations_exit_2():
         assert run_cli("circle", op, "--verify", "oracle").returncode == 2
 
 
+@pytest.mark.parametrize("args,name", [(("sinh", "--x", "inf"), "x"), (("sinh", "--x", "nan"), "x"),
+                                       (("jacobik", "--r", "nan"), "r"), (("app1", "--r", "nan"), "r")])
+def test_identity_refuses_non_finite_parameters(args, name):
+    proc = run_cli("identity", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {name} must be positive\n")
+
+
 def test_cross_check_failure_exits_3():
     proc = run_cli("count", "quintic", "--variant", "as-printed",
                    "--verify", "oracle", "--n", "30..70")

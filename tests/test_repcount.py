@@ -248,7 +248,7 @@ def test_cubic_rejects_nonpositive():
 
 
 def test_cubic_matches_integer_oracle():
-    for n in range(1, 1200):
+    for n in range(1, 5000):
         assert cubic_count(n) == oracle_odd_power_pairs(3, n, "integer"), n
 
 
