@@ -18,6 +18,7 @@ from .repcount import (
     FormSpec,
     RepTable,
     oracle_count,
+    count_form,
     r2,
     count_two_form,
     count_diagonal,

@@ -130,6 +130,8 @@ def _count_rows(args):
         m, N = args.m, args.vars
         method = args.method or "series"
         if method == "closed":
+            if args.domain == "nonneg":
+                raise ValueError("--method closed counts lattice tuples; --domain nonneg needs --method series")
             vals = [repcount.tri_N_closed(m, N, n) for n in ns]
         else:
             table = repcount.tri_count(m, N, hi, args.domain)
@@ -137,8 +139,7 @@ def _count_rows(args):
         spec = {"family": "tri", "m": m, "vars": N, "domain": args.domain}
 
         def oracle():
-            table = repcount.oracle_count(
-                repcount.FormSpec.triangular_sum(m, N, "lattice" if method == "closed" else args.domain), hi)
+            table = repcount.oracle_count(repcount.FormSpec.triangular_sum(m, N, args.domain), hi)
             if method == "closed" and m % 2 == 1 and N == 4:
                 # the odd-m closed form carries 1/16 of the lattice count
                 for n in ns:

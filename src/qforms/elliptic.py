@@ -201,7 +201,7 @@ def _log_series_rhs(s, x):
 
 
 def sinh_identity_check(which, x, X=None, k=None, h=None):
-    """Residual |LHS - RHS| of a hyperbolic-sum identity at x > 0.
+    """Residual |LHS - RHS| of a hyperbolic-sum identity at x >= 0.01.
 
     prop6:  X(n) n^2/sinh(nx)^2 vs -d^2/dx^2 log prod (1-q^n)^X(n).
     eq66:   X = chi0, RHS from log theta3.
@@ -211,6 +211,8 @@ def sinh_identity_check(which, x, X=None, k=None, h=None):
     """
     if not 0 < x < math.inf:
         raise ValueError("x must be positive")
+    if x < 0.01:  # the sums run to 44/x terms; eq66 misses 1e-10 by x = 0.005
+        raise ValueError(f"x={x:g} is too small: the float sums hold the identity only for x >= 0.01")
     n_max = int(44.0 / x) + 12
     if which == "prop6":
         if X is None:

@@ -9,6 +9,7 @@ Closed forms that mix conventions say so in their docstrings.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -66,6 +67,10 @@ class RepTable:
     counts: tuple
     method: str
 
+    def __post_init__(self):
+        if len(self.counts) != len(self.n_range):
+            raise ValueError("a table needs one count per target")
+
     def count(self, n):
         if n not in self.n_range:
             raise ValueError(f"{n} outside tabulated range")
@@ -116,6 +121,34 @@ def oracle_count(spec, n_max):
         dist = new
     counts = [dist.get(s * n - c, 0) for n in range(n_max + 1)]
     return RepTable(spec, range(n_max + 1), tuple(counts), "oracle")
+
+
+@lru_cache(maxsize=64)
+def count_form(spec, n_max):
+    """Counts of spec over 0..n_max from its generating function, the
+    series twin of oracle_count.
+
+    Each distinct term a x^2 + b x contributes one lattice sum, shifted to
+    start at the term's minimum; a term repeated k times enters as its k-th
+    power.  The count at n is the product's coefficient at s n - c, less
+    the sum of the minima.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    terms = Counter(spec.terms)
+    mins = {t: _term_min(*t, spec.convention) for t in terms}
+    base = sum(mins[t] * k for t, k in terms.items())
+    start = -spec.constant - base  # the product's exponent read at n = 0
+    top = start + spec.scale * n_max  # and at n = n_max
+    prod = []
+    if top >= 0:
+        for (a, b), k in terms.items():
+            lat = theta._lattice(top + 1 + mins[a, b], a, b, nonneg=spec.convention == "nonneg")
+            f = power(lat.coeffs, k, top + 1)  # lat starts at its minimum, mins[a, b]
+            prod = convolve(prod, f, top + 1) if prod else f
+    skip = max(0, -start)  # targets below every value of the form count 0
+    counts = tuple(([0] * skip + prod)[start + skip : top + skip + 1 : spec.scale])
+    return RepTable(spec, range(n_max + 1), counts, "series")
 
 
 # -- two squares and diagonal forms ------------------------------------
@@ -349,25 +382,10 @@ def quintic_count(n, variant="amended"):
 
 
 def tri_count(m, N, n_max, convention="lattice"):
-    """Counts of sum t_m(x_k) = n (N variables) from theta series powers."""
+    """Counts of sum t_m(x_k) = n (N variables): count_form of the triangular sum."""
     if m < 0 or N < 1:
         raise ValueError("need m >= 0 and N >= 1")
-    B = (m * m) // 4  # deepest half-unit exponent of one factor
-    order_half = 2 * n_max + (N - 1) * B + 2
-    order_q = order_half // 2 + 1
-    if convention not in ("lattice", "nonneg"):
-        raise ValueError("convention must be 'lattice' or 'nonneg'")
-    one = theta._lattice(2 * order_q, 1, m, nonneg=convention == "nonneg")
-    pbase = N * one.base  # half-unit exponent of the product's first coefficient
-    counts = power(one.coeffs, N, 2 * n_max - pbase + 1)[-pbase::2]
-    spec = FormSpec.triangular_sum(m, N, convention)
-    return RepTable(spec, range(n_max + 1), tuple(counts), "series")
-
-
-@lru_cache(maxsize=32)
-def _delta_counts(N, n_max):
-    """Lattice counts for N-fold sums of t_1 values."""
-    return tri_count(1, N, n_max).counts
+    return count_form(FormSpec.triangular_sum(m, N, convention), n_max)
 
 
 def tri_reduce(m, N, n):
@@ -378,26 +396,23 @@ def tri_reduce(m, N, n):
     """
     if m < 0 or N < 1 or n < 0:
         raise ValueError("need m >= 0, N >= 1, n >= 0")
-    if m % 2 == 1:
-        p = (m - 1) // 2
-        k = n + N * p * (p + 1) // 2
-        return _delta_counts(N, _bucket(k))[k]
     p = m // 2
-    k = 2 * n + N * p * p
-    return _rN_counts(N, _bucket(k))[k]
-
-
-@lru_cache(maxsize=32)
-def _rN_counts(N, n_max):
-    return tuple(power(theta._lattice(n_max + 1, 1, 0).coeffs, N, n_max + 1))
+    if m % 2 == 1:
+        spec, k = FormSpec.triangular_sum(1, N), n + N * p * (p + 1) // 2
+    else:
+        spec, k = FormSpec.diagonal([1] * N), 2 * n + N * p * p
+    return count_form(spec, _bucket(k)).counts[k]
 
 
 def r_N_squares(N, n_max):
     """r_N(n): lattice points on spheres sum x_k^2 = n, from theta3^N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    counts = _rN_counts(N, _bucket(n_max))[: n_max + 1]
-    return RepTable(FormSpec.diagonal([1] * N), range(n_max + 1), counts, "series")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    spec = FormSpec.diagonal([1] * N)
+    counts = count_form(spec, _bucket(n_max)).counts[: n_max + 1]
+    return RepTable(spec, range(n_max + 1), counts, "series")
 
 
 def s_m(m, n):
@@ -459,8 +474,9 @@ def tri_N_closed(m, N, n):
     """Divisor-sum counts for N-fold t_m sums, N in {3, 4}.
 
     N = 4, even m: r_4(2n + 4p^2), lattice convention.  N = 4, odd m:
-    sigma_1(2n + 4p(p+1) + 1), nonneg convention (lattice is 16x this).
-    N = 3 requires even m and gives r_3(2n + 3p^2), lattice convention.
+    sigma_1(2n + 4p(p+1) + 1), one sixteenth of the lattice count; only at
+    m = 1 is that also the nonneg count.  N = 3 requires even m and gives
+    r_3(2n + 3p^2), lattice convention.
     """
     if n < 0 or m < 0:
         raise ValueError("need m >= 0 and n >= 0")
@@ -501,6 +517,8 @@ def exp_method_count(terms, n_max):
     terms = tuple((int(k), int(h)) for k, h in terms)
     if not terms:
         raise ValueError("need at least one (k, h) term")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     for k, h in terms:
         if not (k > abs(h) > 0):
             raise ValueError(f"exp route requires k > |h| > 0, got ({k}, {h})")

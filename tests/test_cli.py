@@ -23,12 +23,12 @@ def child_env():
     return env
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=120):
     env = child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "qforms.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 GOLDEN_CASES = [
@@ -74,8 +74,16 @@ def test_taxicab_count_line():
 def test_quad_refuses_negative_targets():
     proc = run_cli("count", "quad", "--diag", "1,2", "--n=-3..5")
     assert (proc.returncode, proc.stderr) == (2, "qforms: -3 outside tabulated range\n")
-    proc = run_cli("count", "quad", "--diag", "1,2", "--n=-3..-1")
-    assert (proc.returncode, proc.stderr) == (2, "qforms: n_max must be nonnegative\n")
+    for args in (("quad", "--diag", "1,2"), ("tri",), ("expmethod", "--terms", "3:-2")):
+        proc = run_cli("count", *args, "--n=-3..-1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "qforms: n_max must be nonnegative\n"), args
+
+
+def test_closed_tri_refuses_nonneg_domain():
+    proc = run_cli("count", "tri", "--m", "2", "--vars", "3", "--method", "closed",
+                   "--domain", "nonneg", "--n", "0..5", "--verify", "oracle")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "qforms: --method closed counts lattice tuples; --domain nonneg needs --method series\n"
 
 
 def test_affine_range_reads_one_diagonal_table(monkeypatch, capsys):
@@ -146,6 +154,15 @@ def test_precondition_violations_exit_2():
 def test_identity_refuses_non_finite_parameters(args, name):
     proc = run_cli("identity", *args)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {name} must be positive\n")
+
+
+@pytest.mark.parametrize("x", ["1e-3", "1e-6", "1e-300"])
+def test_identity_sinh_refuses_small_x(x):
+    # the sums run to 44/x terms: 1e-6 used to run for minutes, 1e-300 to
+    # divide by zero and 1e-3 to miss the tolerance
+    proc = run_cli("identity", "sinh", "--x", x, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"qforms: x={float(x):g} is too small: the float sums hold the identity only for x >= 0.01\n"
 
 
 def test_cross_check_failure_exits_3():

@@ -221,6 +221,9 @@ def test_sinh_prop6_all_ones():
 def test_sinh_domain_and_parameters():
     with pytest.raises(ValueError):
         sinh_identity_check("eq66", 0.0)
+    with pytest.raises(ValueError, match="x=0.005 is too small"):
+        sinh_identity_check("eq66", 0.005)
+    assert sinh_identity_check("eq66", 0.01) < 1e-10  # the smallest x accepted
     with pytest.raises(ValueError):
         sinh_identity_check("eq69", 1.0, k=2, h=3)  # k <= |h|
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from qforms import arith, repcount
 from qforms.circle import r2_table
 from qforms.repcount import (FormSpec, RepTable, count_affine, count_diagonal,
-                             count_poly_composed, count_power_sum,
+                             count_form, count_poly_composed, count_power_sum,
                              count_two_form, cubic_count, exp_method_count,
                              oracle_count, oracle_odd_power_pairs,
                              quintic_count, r2, r3, r4_closed, r_N_squares,
@@ -37,6 +37,17 @@ def test_reptable_counts_match_range_length():
     assert len(t.counts) == len(t.n_range) == 11
     with pytest.raises(ValueError):
         t.count(11)
+    with pytest.raises(ValueError, match="one count per target"):
+        RepTable(t.spec, range(0, -4), t.counts, "series")
+
+
+@pytest.mark.parametrize("call", [lambda: count_form(FormSpec.diagonal([1]), -1),
+                                  lambda: r_N_squares(3, -5), lambda: tri_count(1, 2, -1),
+                                  lambda: exp_method_count(((3, -2),), -1)],
+                         ids=["count_form", "r_N_squares", "tri_count", "exp_method_count"])
+def test_negative_sizes_are_refused(call):
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        call()
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -55,6 +66,41 @@ def test_oracle_triangular_pair():
 def test_oracle_below_minimum_is_zero():
     t = oracle_count(FormSpec.diagonal([2, 3]), 1)
     assert t.count(1) == 0
+
+
+# -- the lattice-product kernel ---------------------------------------------------
+
+
+def _random_spec(rng):
+    """A FormSpec with repeated and distinct terms, b of both signs, either
+    scale and convention, and a constant of either sign (some lie above
+    every target, so their counts are all zero)."""
+    pool = [(rng.randint(1, 4), rng.randint(-6, 6)) for _ in range(rng.randint(1, 3))]
+    terms = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+    return FormSpec(terms, scale=rng.choice((1, 2)), constant=rng.randint(-15, 15),
+                    convention=rng.choice(("lattice", "nonneg")))
+
+
+def test_count_form_matches_oracle():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        spec, n_max = _random_spec(rng), rng.randint(0, 60)
+        t = count_form(spec, n_max)
+        assert (t.spec, t.n_range, t.method) == (spec, range(n_max + 1), "series")
+        assert t.counts == oracle_count(spec, n_max).counts, (spec, n_max)
+
+
+@pytest.mark.parametrize("table,spec", [
+    (lambda: count_diagonal((1, 2), 16384), FormSpec.diagonal((1, 2))),
+    (lambda: count_diagonal((3, 1, 2), 4096), FormSpec.diagonal((3, 1, 2))),
+    (lambda: exp_method_count(((3, -2), (3, -2)), 8192), FormSpec(((3, -2), (3, -2)))),
+], ids=["diagonal(1,2)", "diagonal(3,1,2)", "exp(3,-2)^2"])
+def test_transforms_equal_count_form(table, spec):
+    # the paper's square-root and exp transforms against the plain product,
+    # at sizes the brute-force oracle does not reach
+    t = table()
+    assert t.spec == spec
+    assert t.counts == count_form(spec, t.n_range.stop - 1).counts
 
 
 # -- two squares ------------------------------------------------------------------
@@ -318,18 +364,23 @@ def test_tri_reduce_examples():
 
 
 def test_tri_reduce_even_m_tabulates_one_bucket(monkeypatch):
-    # k = 2n + N p^2 = 104 needs the 128 bucket, not the 256 one
+    # even m: k = 2n + N p^2 = 104 needs the 128 bucket, not the 256 one;
+    # odd m: k = n + N p(p+1)/2 = 62 for m = 3 needs the 64 bucket
     seen = []
-    original = repcount._rN_counts
+    original = repcount.count_form
 
-    def record(N, n_max):
-        seen.append(n_max)
-        return original(N, n_max)
+    def record(spec, n_max):
+        seen.append((spec, n_max))
+        return original(spec, n_max)
 
-    monkeypatch.setattr(repcount, "_rN_counts", record)
+    monkeypatch.setattr(repcount, "count_form", record)
     count = tri_reduce(2, 4, 50)
-    assert seen == [128]
+    assert seen == [(FormSpec.diagonal([1] * 4), 128)]
     assert count == r_N_squares(4, 104).count(104)
+    seen.clear()
+    count = tri_reduce(3, 4, 58)
+    assert seen == [(FormSpec.triangular_sum(1, 4), 64)]
+    assert count == tri_count(1, 4, 62).count(62)
 
 
 def test_tri_reduce_matches_oracle():
