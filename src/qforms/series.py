@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import mul, sub
+
+import numpy as np
 
 
 def _norm(v):
@@ -43,42 +45,110 @@ def _integral(coeffs):
 
 
 def convolve(f, g, n):
-    """First n coefficients of f*g for integer coefficient lists f and g.
+    """First n coefficients of f*g for integer coefficient lists f and g,
+    exact at every size (see _middle)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _middle(f, g, 0, n)
+
+
+def _middle(f, g, lo, hi):
+    """Coefficients lo <= k < hi of f*g for integer lists f and g, exactly.
 
     Kronecker substitution (D. Harvey, JSC 2009): each list is packed into
     one Python int with a w-byte slot per coefficient, one big-int multiply
-    forms the product, and the slots are read back.  No coefficient of f*g
-    exceeds |f|_1 |g|_1 in absolute value, so with 2^(8w-1) above that
-    bound every slot holds its value plus the offset 2^(8w-1) without
-    carrying into the next: the result is exact at every size.
+    forms the product, and the slots lo..hi-1 are read back.  No
+    coefficient of f*g exceeds |f|_1 |g|_1 in absolute value, so with
+    2^(8w-1) above that bound every slot holds its value plus the offset
+    2^(8w-1) without carrying into the next.  Slots of up to 8 bytes are
+    packed and read through numpy words.  A product with one operand of
+    1-norm below 2^21 and slots wider than 8 bytes would pad that operand
+    to the other's width; it runs through _limbs instead.
     """
     square = f is g
-    f, g = f[:n], g[:n]
-    bound = sum(map(abs, f)) * sum(map(abs, g))
+    f, g = f[:hi], g[:hi]
+    fa, ga = sum(map(abs, f)), sum(map(abs, g))
+    bound = fa * ga
     if not bound:
-        return [0] * n
+        return [0] * (hi - lo)
     w = bound.bit_length() // 8 + 1
+    if w > 8 and min(fa, ga) < 1 << 21:
+        return _limbs(f, g, lo, hi) if ga < fa else _limbs(g, f, lo, hi)
     half = 1 << (8 * w - 1)
     slot = half.to_bytes(w, "little")
+    if w <= 8:
+        shift = np.int64(-half)  # v - 2^(8w-1) is v + 2^(8w-1) mod 2^(8w)
 
     def pack(c):
-        data = bytearray(slot * len(c))  # a zero coefficient is its bare offset
-        for i, v in enumerate(c):
-            if v:
-                data[i * w : i * w + w] = (v + half).to_bytes(w, "little")
+        if w <= 8:  # each slot is the low w bytes of an int64 word
+            words = np.array(c, np.int64) + shift
+            data = words.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :w].tobytes()
+        else:
+            data = bytearray(slot * len(c))  # a zero coefficient is its bare offset
+            for i, v in enumerate(c):
+                if v:
+                    data[i * w : i * w + w] = (v + half).to_bytes(w, "little")
         return int.from_bytes(data, "little") - int.from_bytes(slot * len(c), "little")
 
     packed = pack(f)
-    prod = packed * (packed if square else pack(g)) + int.from_bytes(slot * n, "little")
-    data = (prod & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
-    slots = (data[i : i + w] for i in range(0, w * n, w))
+    prod = packed * (packed if square else pack(g)) + int.from_bytes(slot * hi, "little")
+    del packed
+    m = hi - lo
+    data = ((prod >> 8 * w * lo) & ((1 << 8 * w * m) - 1)).to_bytes(w * m, "little")
+    del prod
+    if w <= 8:
+        words = np.zeros((m, 8), np.uint8)
+        words[:, :w] = np.frombuffer(data, np.uint8).reshape(m, w)
+        return (words.view("<i8").ravel() + shift).tolist()
+    slots = (data[i : i + w] for i in range(0, w * m, w))
     return [v - half for v in map(int.from_bytes, slots, repeat("little"))]
+
+
+def _limbs(wide, narrow, lo, hi):
+    """Coefficients lo <= k < hi of wide*narrow for |narrow|_1 < 2^21.
+
+    Each wide coefficient is cut into K 32-bit limbs of its two's
+    complement, the low ones unsigned and the top one signed, giving K limb
+    columns of magnitude below 2^32.  Each column is convolved with narrow
+    in float64 by np.convolve: every product and every partial sum, in
+    whatever order they are taken, is an integer of magnitude at most
+    |narrow|_1 (2^32 - 1) < 2^53, so each is exact.  Only the rows read are
+    formed ("valid" mode over a window of the longer operand).  Column
+    sums are carried into 32-bit digits from the lowest column up, and the
+    last carry is a signed top digit, so each output is one
+    two's-complement row of K + 1 digits.
+    """
+    k = max(map(abs, wide)).bit_length() // 32 + 1
+    data = b"".join([v.to_bytes(4 * k, "little", signed=True) for v in wide])
+    limbs = np.frombuffer(data, "<u4").reshape(len(wide), k)
+    x = np.array(narrow, np.float64)
+    m = hi - lo
+    digits = np.empty((m, k + 1), "<u4")
+    carry = 0  # into the column, from the ones below
+    for t in range(k):
+        col = (limbs[:, t] if t < k - 1 else limbs[:, t].view("<i4")).astype(np.float64)
+        a, b = (col, x) if len(col) <= len(x) else (x, col)
+        s, span = len(a) - 1 - lo, m + len(a) - 1  # window[j] = b[j - s], 0 <= j < span
+        if s or len(b) != span:
+            window, part = np.zeros(span), b[max(-s, 0) :]
+            window[max(s, 0) : max(s, 0) + len(part)] = part
+            b = window
+        sums = np.convolve(a, b, "valid").astype(np.int64) + carry
+        digits[:, t] = sums.astype("<i8", copy=False).view("<u4")[::2]  # the low 32 bits
+        carry = sums >> 32
+    digits[:, k] = carry.astype("<i8", copy=False).view("<u4")[::2]  # |carry| < 2^22
+    del data, limbs
+    step = 4 * (k + 1)
+    rows = memoryview(digits).cast("B")
+    return [int.from_bytes(rows[i : i + step], "little", signed=True) for i in range(0, step * m, step)]
 
 
 def power(f, N, n):
     """First n coefficients of f^N (N >= 1), by square-and-multiply over convolve."""
     if N < 1:
         raise ValueError("power requires N >= 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     acc = None
     while True:
         if N & 1:
@@ -228,7 +298,7 @@ class HalfLaurentSeries:
             return NotImplemented
         base = self.base + other.base
         order = min(self.order + other.base, other.order + self.base)
-        return HalfLaurentSeries(base, _product(self.coeffs, other.coeffs, order - base), order)
+        return HalfLaurentSeries(base, _product(self.coeffs, other.coeffs, 0, order - base), order)
 
     __rmul__ = __mul__
 
@@ -319,13 +389,8 @@ class HalfLaurentSeries:
 
 
 # Measured on dense random inputs: blocks of at most _LEAF outputs run the
-# plain loop, whose per-pair work is cheaper than a product's packing there;
-# in _solve, integer blocks wider than _WIDE bits keep the loop's cross term,
-# because the product's slots would pad the narrow operand to the wide one
-# (inverse of a dense series at order 1024).  Square roots of wide integer
-# series have no measured workload, so _sqrt_unit always takes the product.
+# plain loop, whose per-pair work is cheaper than a product's packing there.
 _LEAF = 64
-_WIDE = 384
 
 
 def _relaxed(acc, leaf, cross):
@@ -355,24 +420,14 @@ def _relaxed(acc, leaf, cross):
     solve(0, len(acc))
 
 
-def _product(f, g, n):
-    """First n coefficients of f*g for exact rational lists, through convolve
-    on the numerators over one common denominator per list."""
+def _product(f, g, lo, hi):
+    """Coefficients lo <= k < hi of f*g for exact rational lists, through
+    _middle on the numerators over one common denominator per list."""
     df, fi = _integral(f)
     dg, gi = (df, fi) if g is f else _integral(g)
-    out = convolve(fi, gi, n)
+    out = _middle(fi, gi, lo, hi)
     d = df * dg
     return out if d == 1 else [_div(v, d) for v in out]
-
-
-def _wide(*blocks):
-    """True when the blocks are integer lists with a value wider than _WIDE
-    bits.  Rational blocks always take the product, which replaces Fraction
-    arithmetic by integer work."""
-    values = list(chain.from_iterable(blocks))
-    if Fraction in set(map(type, values)):
-        return False
-    return max(map(abs, values), default=0).bit_length() > _WIDE
 
 
 def _stride(*lists):
@@ -429,10 +484,7 @@ def _solve(c, rhs, d):
             out[k] = _div(acc[k] - dot(k, lo, k), d[k])
 
     def cross(lo, mid, hi):
-        block, part = out[lo:mid], c[1 : hi - lo]
-        if _wide(block, part):
-            return [dot(k, lo, mid) for k in range(mid, hi)]
-        return _product(block, part, hi - lo - 1)[mid - lo - 1 :]
+        return _product(out[lo:mid], c[1 : hi - lo], mid - lo - 1, hi - lo - 1)
 
     _relaxed(acc, leaf, cross)
     return out
@@ -461,9 +513,9 @@ def _sqrt_unit(rel):
 
     def cross(lo, mid, hi):
         if lo:
-            return [2 * v for v in _product(g[lo:mid], g[1 : hi - lo], hi - lo - 1)[mid - lo - 1 :]]
+            return [2 * v for v in _product(g[lo:mid], g[1 : hi - lo], mid - lo - 1, hi - lo - 1)]
         block = g[1:mid]
-        return _product(block, block, hi - 2)[mid - 2 :]
+        return _product(block, block, mid - 2, hi - 2)
 
     _relaxed(acc, leaf, cross)
     out = [0] * n

@@ -158,6 +158,82 @@ def test_convolve_matches_schoolbook(f, g, n):
     assert convolve(f, f, n) == _schoolbook(f, f, n)
 
 
+def test_convolve_and_power_refuse_negative_n():
+    # f[:n] would slice from the end and a negative shift would raise
+    for call in (lambda: convolve([1, 2, 3], [1, 1], -1), lambda: convolve([1, 2], [3, 4], -2),
+                 lambda: power([1, 2], 2, -1), lambda: power([1, 2], 1, -3)):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            call()
+
+
+def _with_norm(rng, total, k):
+    """k integers of random sign whose absolute values sum to total; some may be 0."""
+    cuts = sorted(rng.randrange(total + 1) for _ in range(k - 1))
+    return [rng.choice((-1, 1)) * (b - a) for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@pytest.mark.parametrize("bits", range(7, 64, 8))
+def test_convolve_at_every_word_slot_width(bits):
+    # |f|_1 |g|_1 = 2^bits - 1 takes w = (bits + 1) / 8 bytes and 2^bits one
+    # more: w = 1..8 through the numpy words, and 2^63 the first 9-byte slot
+    rng = random.Random(bits)
+    for bound in (2**bits - 1, 2**bits):
+        pairs = [([bound], [1]), ([0, -bound, 0], [0, 0, -1]), ([1], [0, bound])]
+        for u, v in ((bound, 1), (1, bound), (bound // 2, 2)):
+            if u * v == bound:
+                pairs += [(_with_norm(rng, u, 9), _with_norm(rng, v, 4)) for _ in range(3)]
+        for f, g in pairs:
+            for n in (1, 3, len(f) + len(g) - 1, len(f) + len(g) + 2):
+                want = _schoolbook(f, g, n)
+                assert convolve(f, g, n) == convolve(g, f, n) == want, (f, g, n)
+                assert [series._middle(f, g, lo, n) for lo in range(n)] == [want[lo:] for lo in range(n)]
+            assert convolve(f, f, len(f)) == _schoolbook(f, f, len(f))
+
+
+@pytest.mark.parametrize("bits", [31, 32, 33, 64, 65, 1700])
+def test_convolve_lopsided_products_on_both_sides_of_the_limb_bound(monkeypatch, bits):
+    # one operand up to 2^bits, the other of 1-norm len * max just below 2^21
+    # (len * max * 2^32 < 2^53: the float64 limb path) and at 2^21 (bytes);
+    # enough wide entries that the product's slots are wider than 8 bytes
+    calls = []
+    limbs = series._limbs
+    monkeypatch.setattr(series, "_limbs", lambda *args: calls.append(max(map(abs, args[1]))) or limbs(*args))
+    rng = random.Random(bits)
+    count = max(40, 2 ** (45 - bits))
+    top = 2**bits - 1
+    signed = [rng.choice((-1, 1)) * rng.randint(top // 2 + 1, top) for _ in range(count)]
+    signed[::5] = [0] * len(signed[::5])
+    signed[1] = -top
+    for lens, mx in ((7, 299593), (8, 262144)):  # 7 * 299593 = 2^21 - 1, 8 * 262144 = 2^21
+        below = lens * mx < 2**21
+        for wide, narrow in ((signed, [0] + [rng.choice((-mx, mx)) for _ in range(lens)]),
+                             ([top] * count, [mx] * lens)):  # every column sum at its largest
+            full = len(wide) + len(narrow) - 1
+            want = _schoolbook(wide, narrow, full + 3)
+            calls.clear()
+            assert convolve(narrow, wide, full + 3) == want
+            assert calls == ([mx] if below else []), (bits, lens)  # narrow passed second
+            for n in (5, len(narrow) - 1, full // 2, full + 3):
+                assert convolve(wide, narrow, n) == convolve(narrow, wide, n) == want[:n], (bits, n)
+            for lo, hi in ((1, 6), (len(narrow) - 1, count), (count - 3, full)):
+                assert series._middle(wide, narrow, lo, hi) == want[lo:hi], (bits, lo, hi)
+
+
+def test_middle_rows_match_schoolbook():
+    # random row windows of a product in every path, either operand the
+    # longer, as the recurrences' cross terms take them
+    rng = random.Random(16)
+    for _ in range(300):
+        top = rng.choice((3, 2**31, 2**40, 2**64, 2**200, 2**1700))
+        wide = [rng.randint(-top, top) for _ in range(rng.randint(1, 60))]
+        narrow = [rng.randint(-3, 3) for _ in range(rng.randint(1, 60))]
+        f, g = (wide, narrow) if rng.random() < 0.5 else (narrow, wide)
+        hi = rng.randint(1, 130)
+        lo = rng.randrange(hi)
+        assert series._middle(f, g, lo, hi) == _schoolbook(f, g, hi)[lo:], (f, g, lo, hi)
+        assert series._middle(f, f, lo, hi) == _schoolbook(f, f, hi)[lo:], (f, lo, hi)
+
+
 def test_convolve_random_signed_and_wide():
     rng = random.Random(13)
     for _ in range(200):
@@ -427,13 +503,11 @@ def test_sqrt_unit_matches_loop_at_block_edges(n):
         assert any(type(v) is Fraction for v in root)
 
 
-@pytest.mark.parametrize("leaf,wide", [(2, 10**9), (3, 0), (5, 40)])
-def test_recurrences_match_loops_through_every_cross_term_path(monkeypatch, leaf, wide):
-    # tiny leaves put every order through many levels of the driver; _WIDE
-    # at 0, at a billion and in between makes _solve pick the loop's cross
-    # term, the product, or each by block
+@pytest.mark.parametrize("leaf", [2, 3, 5])
+def test_recurrences_match_loops_through_every_cross_term_path(monkeypatch, leaf):
+    # tiny leaves put every order through many levels of the driver, whose
+    # cross terms then meet narrow, lopsided and wide products
     monkeypatch.setattr(series, "_LEAF", leaf)
-    monkeypatch.setattr(series, "_WIDE", wide)
     rng = random.Random(leaf)
     for n in (1, 2, 7, 16, 17, 33, 40):
         f = _dense(rng, n)
@@ -490,13 +564,13 @@ def test_solve_with_fraction_inputs():
 
 
 def test_wide_coefficient_inverse_and_log_at_1024():
-    # 1/f for dense f grows about 1.8 bits per index: past _WIDE bits the
-    # driver keeps the loop's cross term, and the outputs must not change
+    # 1/f for dense f grows about 1.8 bits per index, so the driver's cross
+    # terms pair outputs of up to ~1700 bits with c in +-{1, 2, 3}
     rng = random.Random(33)
     f = _dense(rng, 1024)
     inv, dlog, _ = _three_recurrences(f)
     got = series._solve(*inv)
-    assert abs(got[-1]).bit_length() > 4 * series._WIDE
+    assert abs(got[-1]).bit_length() > 1536
     assert got == _loop_solve(*inv)
     assert series._solve(*dlog) == _loop_solve(*dlog)
     assert convolve(f, got, 1024) == [1] + [0] * 1023
