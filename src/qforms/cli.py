@@ -103,6 +103,7 @@ def _count_rows(args):
         lo = max(lo, 1)
     ns = range(lo, hi + 1)
     s = args.scale
+    base = 0  # every table is read at n - base
     if fam in ("quad", "affine"):
         if not args.diag:
             raise ValueError(f"{fam} needs --diag")
@@ -111,21 +112,21 @@ def _count_rows(args):
             method = args.method or ("closed" if len(coeffs) == 2 else "series")
             if method == "closed" and len(coeffs) != 2:
                 raise ValueError("closed two-square form needs exactly two coefficients")
-            shift, terms, const = 0, tuple((a, 0) for a in coeffs), 0
+            terms, const = tuple((a, 0) for a in coeffs), 0
             spec = {"family": "quad", "diag": list(coeffs), "scale": s}
         else:
             A, B = coeffs
             C, D = _parse_ints(args.lin)
             E = args.const
             method = "closed"
-            shift, terms, const = repcount.affine_shift(A, B, C, D, E), ((A, C), (B, D)), E
+            # fold targets below 0 into the constant; quad refuses them
+            base = min(lo, 0)
+            terms, const = ((A, C), (B, D)), E - s * base
             spec = {"family": "affine", "diag": [A, B], "lin": [C, D], "const": E, "scale": s}
-        # an affine target below 0 is the value of no pair; quad refuses one
-        clip = fam == "affine"
-        top = s * hi + shift
-        table = repcount.count_diagonal(coeffs, max(top, 0) if clip else top)
-        vals = [0 if clip and t < 0 else table.count(t) for t in (s * n + shift for n in ns)]
-        oracle = lambda: repcount.oracle_count(repcount.FormSpec(terms, scale=s, constant=const), hi)
+        form = repcount.FormSpec(terms, scale=s, constant=const)
+        table = repcount.count_form(form, hi - base)
+        vals = [table.count(n - base) for n in ns]
+        oracle = lambda: repcount.oracle_count(form, hi - base)
     elif fam == "tri":
         m, N = args.m, args.vars
         method = args.method or "series"
@@ -176,7 +177,7 @@ def _count_rows(args):
     if args.verify == "oracle":
         ref = oracle()
         for n, v in zip(ns, vals):
-            want = ref.count(n)
+            want = ref.count(n - base)
             if v != want:
                 raise VerifyMismatch(f"{fam}: value {v} at n={n} but oracle gives {want}")
     return spec, [(n, v, method) for n, v in zip(ns, vals)], method, None

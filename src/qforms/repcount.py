@@ -12,13 +12,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add
 
 from . import arith
 from .arith import divisor_sum, divisors
 from .circle import r2_table
-from .series import _solve, _sqrt_unit, convolve, power
+from .series import _sqrt_unit, convolve, power
 from . import theta
 
 
@@ -497,17 +495,6 @@ def tri_N_closed(m, N, n):
 # -- exp-transform route ---------------------------------------------------
 
 
-def _fkh_sums(terms, n_max):
-    """n times sum_l f_(k_l,h_l)(n) for 0 <= n <= n_max: one sieve adding
-    d sum_l chi_(k_l,h_l)(d) at the multiples of each d."""
-    out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        w = d * sum(arith.chi_kh(k, h, d) for k, h in terms)
-        if w:
-            out[d::d] = map(add, out[d::d], repeat(w))
-    return out
-
-
 def exp_method_count(terms, n_max):
     """Counts for sum (k_l x_l^2 + h_l x_l) = n via the exp transform.
 
@@ -524,15 +511,7 @@ def exp_method_count(terms, n_max):
             raise ValueError(f"exp route requires k > |h| > 0, got ({k}, {h})")
         if (k + h) % 2 == 0:
             raise ValueError(f"exp route requires opposite parity, got ({k}, {h})")
-    # exp_neg's recurrence k e_k = -sum_j j a_j e_(k-j) on the half-unit
-    # lattice: the weight j a_j at j = 2n is 2 (-1)^n n sum_l f(n), an
-    # integer straight from the sieve
-    m = 2 * (n_max + 1)
-    sums = _fkh_sums(terms, n_max)
-    w = [0] * m
-    w[2::2] = (2 * v if nn % 2 == 0 else -2 * v for nn, v in enumerate(sums[1:], 1))
-    counts = _solve(w, [1] + [0] * (m - 1), [1, *range(1, m)])[::2]
+    counts = theta._exp_coeffs(terms, n_max + 1)[::2]
     if not all(isinstance(c, int) for c in counts):
         raise ArithmeticError("exp transform produced a non-integer count")
-    spec = FormSpec(tuple((k, h) for k, h in terms))
-    return RepTable(spec, range(n_max + 1), tuple(counts), "transform")
+    return RepTable(FormSpec(terms), range(n_max + 1), tuple(counts), "transform")

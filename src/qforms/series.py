@@ -233,14 +233,6 @@ class HalfLaurentSeries:
             return self
         return HalfLaurentSeries(self.base + i, self.coeffs[i:], self.order)
 
-    def truncate(self, order):
-        """Restrict validity to exponents below `order` (never extends)."""
-        if order >= self.order:
-            raise ValueError("truncate cannot extend validity")
-        if order <= self.base:
-            return HalfLaurentSeries.zero(order)
-        return HalfLaurentSeries(self.base, self.coeffs[: order - self.base], order)
-
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):

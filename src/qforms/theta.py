@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 
-from .arith import f_kh
-from .series import HalfLaurentSeries, exp_neg
+from .arith import chi_kh
+from .series import HalfLaurentSeries, _solve
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,28 @@ def f_neg_product(order):
     return series(pochhammer(2, 2, False), order)
 
 
+def _fkh_sums(terms, n_max):
+    """n times sum_l f_(k_l,h_l)(n) for 0 <= n <= n_max: one sieve adding
+    d sum_l chi_(k_l,h_l)(d) at the multiples of each d."""
+    out = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        w = d * sum(chi_kh(k, h, d) for k, h in terms)
+        if w:
+            out[d::d] = map(add, out[d::d], repeat(w))
+    return out
+
+
+def _exp_coeffs(terms, order):
+    """Half-unit coefficients below 2*order of exp(-sum (-1)^n sum_l f_(k_l,h_l)(n) q^n)
+    by exp_neg's recurrence k e_k = -sum_j j a_j e_(k-j), whose weight j a_j
+    at j = 2n is 2 (-1)^n n sum_l f(n), an integer straight from the sieve."""
+    m = 2 * order
+    sums = _fkh_sums(terms, order - 1)
+    w = [0] * m
+    w[2::2] = (2 * v if n % 2 == 0 else -2 * v for n, v in enumerate(sums[1:], 1))
+    return _solve(w, [1] + [0] * (m - 1), [1, *range(1, m)])
+
+
 def general_theta_via_exp(k, h, order):
     """General theta as exp(-(sum (-1)^n f_kh(n) q^n)).
 
@@ -175,9 +199,9 @@ def general_theta_via_exp(k, h, order):
         raise ValueError("exp route requires k > |h| > 0")
     if (k + h) % 2 == 0:
         raise ValueError("exp route requires k and h of opposite parity")
-    terms = [(2 * n, (f_kh(k, h, n) if n % 2 == 0 else -f_kh(k, h, n))) for n in range(1, order)]
-    a = HalfLaurentSeries.from_terms(terms, 2 * order)
-    return exp_neg(a)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return HalfLaurentSeries(0, _exp_coeffs(((k, h),), order), 2 * order)
 
 
 def triple_product_check(p, order):

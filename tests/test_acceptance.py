@@ -307,6 +307,9 @@ def test_criterion_10_cli_golden_and_exit_codes():
         ["count", "quad", "--diag", "1,2", "--n", "0..60", "--verify", "oracle"],
         ["count", "affine", "--diag", "1,2", "--lin", "2,4", "--const", "1",
          "--n", "0..40", "--verify", "oracle"],
+        ["count", "quad", "--diag", "2,2", "--n", "0..5", "--verify", "oracle"],
+        ["count", "affine", "--diag", "2,2", "--const", "100", "--n", "0..5", "--verify", "oracle"],
+        ["count", "affine", "--diag", "1,2", "--lin", "1,0", "--n", "0..40", "--verify", "oracle"],
         ["count", "tri", "--m", "3", "--vars", "4", "--method", "closed",
          "--n", "0..30", "--verify", "oracle"],
         ["count", "cubic", "--n", "1..200", "--verify", "oracle"],
@@ -319,7 +322,7 @@ def test_criterion_10_cli_golden_and_exit_codes():
         assert proc.returncode == 0, (args, proc.stderr)
 
     violations = [
-        ["count", "quad", "--diag", "2,2", "--n", "0..5"],
+        ["count", "quad", "--diag", "0,1", "--n", "0..5"],
         ["count", "tri", "--m", "1", "--vars", "3", "--method", "closed", "--n", "0..5"],
         ["identity", "app1", "--A", "2", "--B", "4", "--C", "0", "--D", "0"],
         ["circle", "hardy", "--x", "10"],

@@ -87,20 +87,34 @@ def test_closed_tri_refuses_nonneg_domain():
 
 
 def test_affine_range_reads_one_diagonal_table(monkeypatch, capsys):
-    want = [repcount.count_affine(1, 2, 2, 4, 0, n) for n in (0, 3, 1999)]
+    ns = (-3, 0, 3, 1999)
+    want = [repcount.count_affine(1, 2, 2, 4, 0, n) for n in ns]
     calls = []
-    count_diagonal = repcount.count_diagonal
+    count_form = repcount.count_form
 
-    def counted(coeffs, n_max):
-        calls.append(n_max)
-        return count_diagonal(coeffs, n_max)
+    def counted(spec, n_max):
+        calls.append((spec, n_max))
+        return count_form(spec, n_max)
 
-    monkeypatch.setattr(repcount, "count_diagonal", counted)
-    assert cli.main(["count", "affine", "--diag", "1,2", "--lin", "2,4", "--n", "0..2000"]) == 0
+    monkeypatch.setattr(repcount, "count_form", counted)
+    assert cli.main(["count", "affine", "--diag", "1,2", "--lin", "2,4", "--n=-3..2000"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 2001
-    assert [rows[n] for n in (0, 3, 1999)] == [f"{n},{c},closed" for n, c in zip((0, 3, 1999), want)]
-    assert calls == [2000 + repcount.affine_shift(1, 2, 2, 4, 0)]
+    assert len(rows) == 2004
+    assert [rows[n + 3] for n in ns] == [f"{n},{c},closed" for n, c in zip(ns, want)]
+    # the targets below 0 are folded into the constant of one table
+    assert calls == [(repcount.FormSpec(((1, 2), (2, 4)), constant=3), 2003)]
+
+
+@pytest.mark.parametrize("args,rows", [
+    (["--diag", "1,2", "--lin", "2,4", "--n=-3..1"], 5),
+    (["--diag", "1,2", "--lin", "2,4", "--const", "-3", "--scale", "2", "--n=-2..6"], 9),
+])
+def test_affine_verifies_negative_targets(args, rows, capsys):
+    assert cli.main(["count", "affine", *args]) == 0
+    plain = capsys.readouterr().out
+    assert len(plain.splitlines()) == rows
+    assert cli.main(["count", "affine", *args, "--verify", "oracle"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_two_form_at_zero():
@@ -125,7 +139,6 @@ def test_bad_thread_env_exits_1():
 
 
 def test_precondition_violations_exit_2():
-    assert run_cli("count", "quad", "--diag", "2,2", "--n", "0..5").returncode == 2
     assert run_cli("count", "tri", "--m", "1", "--vars", "3",
                    "--method", "closed", "--n", "0..5").returncode == 2
     assert run_cli("identity", "app1", "--A", "2", "--B", "4",
@@ -140,7 +153,6 @@ def test_precondition_violations_exit_2():
     assert run_cli("circle", "scan", "--xmax", "inf").returncode == 2
     assert run_cli("circle", "rexp", "--x", "nan").returncode == 2
     assert run_cli("circle", "hardy", "--x", "nan").returncode == 2
-    assert run_cli("count", "affine", "--diag", "2,2", "--const", "100", "--n", "0..5").returncode == 2
     assert run_cli("circle", "hardy", "--x", "inf").returncode == 2
     assert run_cli("circle", "rexp", "--x", "inf").returncode == 2
     assert run_cli("circle", "dm", "--x", "nan").returncode == 2
@@ -182,6 +194,9 @@ def test_verified_paths_exit_0():
          "--n", "0..40", "--verify", "oracle"],
         ["count", "affine", "--diag", "1,3", "--lin", "2,6", "--const", "-5", "--scale", "2",
          "--n", "0..60", "--verify", "oracle"],
+        ["count", "quad", "--diag", "2,2", "--n", "0..5", "--verify", "oracle"],
+        ["count", "affine", "--diag", "2,2", "--const", "100", "--n", "0..5", "--verify", "oracle"],
+        ["count", "affine", "--diag", "1,2", "--lin", "1,0", "--n", "0..40", "--verify", "oracle"],
         ["count", "tri", "--m", "2", "--vars", "3", "--n", "0..30", "--verify", "oracle"],
         ["count", "tri", "--m", "3", "--vars", "4", "--method", "closed",
          "--n", "0..30", "--verify", "oracle"],

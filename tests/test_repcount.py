@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qforms import arith, repcount
+from qforms import arith, repcount, theta
 from qforms.circle import r2_table
 from qforms.repcount import (FormSpec, RepTable, count_affine, count_diagonal,
                              count_form, count_poly_composed, count_power_sum,
@@ -562,7 +562,7 @@ def test_exp_method_matches_oracle():
 
 def test_fkh_sieve_equals_per_n_f_kh():
     for terms in (((3, -2), (3, -2)), ((3, 2),), ((5, 2), (4, 1), (2, -1))):
-        sums = repcount._fkh_sums(terms, 1500)
+        sums = theta._fkh_sums(terms, 1500)
         assert sums[0] == 0
         assert sums[1:] == [n * sum(arith.f_kh(k, h, n) for k, h in terms) for n in range(1, 1501)], terms
 
