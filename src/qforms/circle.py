@@ -67,19 +67,45 @@ def lattice_count(x):
     return total
 
 
+_BLOCK = 1 << 16  # rows per scan block, and values per r2 sieve segment
+_EXACT_SQRT = 1 << 52  # below it a float sqrt is within one of the integer root
+
+
+def _isqrt(v):
+    """floor(sqrt(v)) at every entry of the int64 array v, 0 <= v < 2^52:
+    a float sqrt of the exactly converted v, corrected by one each way."""
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
+def _r2_segment(m0, m1):
+    """int64 array of r2(m) for m0 <= m < m1.  Every point (i, j) with i >= 1,
+    j >= 0 stands for its four rotations; for each i <= sqrt(m1 - 1) the j
+    with i^2 + j^2 in the segment are one range between integer roots, the
+    ranges are laid out by np.repeat and counted by one np.bincount."""
+    if not 0 <= m0 <= m1 <= _EXACT_SQRT:
+        raise ValueError(f"r2 segment {m0}..{m1} must lie in 0..2^52, "
+                         "where its float square roots are exact")
+    ii = np.arange(1, math.isqrt(max(m1 - 1, 0)) + 1, dtype=np.int64) ** 2
+    j0 = _isqrt(np.maximum(m0 - ii, 0))
+    j0 += j0 * j0 < m0 - ii  # least j with i^2 + j^2 >= m0
+    lens = np.maximum(_isqrt(m1 - 1 - ii) + 1 - j0, 0)
+    j = np.arange(lens.sum(), dtype=np.int64) + np.repeat(j0 - (np.cumsum(lens) - lens), lens)
+    r2 = 4 * np.bincount(np.repeat(ii - m0, lens) + j * j, minlength=m1 - m0)
+    if m0 == 0 < m1:
+        r2[0] = 1
+    return r2
+
+
 def r2_table(n_max):
-    """numpy int64 array of r2(0..n_max) by direct lattice sieving."""
+    """numpy int64 array of r2(0..n_max), sieved in segments of 2^16."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    arr = np.zeros(n_max + 1, dtype=np.int64)
-    arr[0] = 1
-    top = math.isqrt(n_max)
-    for i in range(1, top + 1):
-        arr[i * i] += 4
-        jmax = math.isqrt(n_max - i * i)
-        if jmax:
-            js = np.arange(1, jmax + 1, dtype=np.int64)
-            arr[i * i + js * js] += 4  # indices distinct for fixed i
+    arr = np.empty(n_max + 1, dtype=np.int64)
+    for m0 in range(0, n_max + 1, _BLOCK):
+        arr[m0:m0 + _BLOCK] = _r2_segment(m0, min(m0 + _BLOCK, n_max + 1))
     return arr
 
 
@@ -236,9 +262,13 @@ def _check_g(h, x, M):
         raise ValueError("M must be positive")
 
 
-def _g_cos(n, x):
-    """cos(2 pi sqrt(n x) + pi/4) at every n of the array n."""
-    return np.cos(2 * math.pi * np.sqrt(n * x) + math.pi / 4)
+def _g_cos(n, x, out=None):
+    """cos(2 pi sqrt(n x) + pi/4) at every n of the array n, into out if given."""
+    out = np.multiply(n, x, out=out)
+    np.sqrt(out, out=out)
+    np.multiply(2 * math.pi, out, out=out)
+    np.add(out, math.pi / 4, out=out)
+    return np.cos(out, out=out)
 
 
 def _g_terms(h, x, lo, hi):
@@ -356,51 +386,93 @@ def em_f4(a, t):
             + 105 * math.cos(w) / (16 * t ** 4.5))
 
 
-def scan_columns(x_max, step):
-    """Column arrays (x, count, pi_x, R, R_scaled) at x = step, 2 step, ...
-    <= x_max, counting through a cumulative r2 sieve."""
+def _scan_rows(x_max, step):
+    """The number of rows of a scan at x = step, 2 step, ... <= x_max."""
     if x_max < 1 or step <= 0:
         raise ValueError("need x_max >= 1 and step > 0")
     if not (math.isfinite(x_max) and math.isfinite(step)):
         raise ValueError("x_max and step must be finite")
+    if x_max >= _EXACT_SQRT:
+        raise ValueError(f"x_max {x_max} is not below 2^52, the reach of the r2 sieve")
     if step > x_max:
         raise ValueError(f"step {step} exceeds x_max {x_max}: the scan has no rows")
-    k = np.arange(1, int(math.floor(x_max / step)) + 1, dtype=np.float64)
-    x = k * step
-    cum = np.cumsum(r2_table(int(math.floor(x[-1]))))
-    counts = cum[np.floor(x).astype(np.int64)]
-    pi_x = math.pi * x
-    R = counts - pi_x
-    return x, counts, pi_x, R, R / x ** 0.25
+    if not math.isfinite(x_max / step):
+        raise ValueError(f"x_max / step overflows: {x_max} / {step}")
+    return int(math.floor(x_max / step))
+
+
+def _scan_blocks(rows, step):
+    """(x, count, pi_x, R, R_scaled) for rows 1..rows of a scan, in blocks of
+    2^16 rows.  The count at x is the lattice count at floor(x): the r2 sieve
+    runs in segments of at most 2^16 over the values the block reads, and
+    the cumulative count is carried from segment to segment."""
+    total, pos = 0, 0  # total = #{(i, j) : i^2 + j^2 < pos}
+    for k0 in range(1, rows + 1, _BLOCK):
+        x = np.arange(k0, min(k0 + _BLOCK, rows + 1), dtype=np.float64) * step
+        fl = np.floor(x).astype(np.int64)
+        counts = np.empty(len(x), dtype=np.int64)
+        a = int(np.searchsorted(fl, pos))
+        counts[:a] = total  # rows at floor(x) = pos - 1, reached by an earlier block
+        end = int(fl[-1]) + 1
+        for m0 in range(pos, end, _BLOCK):
+            pos = min(m0 + _BLOCK, end)
+            cum = np.cumsum(_r2_segment(m0, pos))
+            cum += total
+            b = int(np.searchsorted(fl, pos))
+            counts[a:b] = cum[fl[a:b] - m0]
+            total, a = int(cum[-1]), b
+        pi_x = math.pi * x
+        R = counts - pi_x
+        yield x, counts, pi_x, R, R / x ** 0.25
+
+
+def scan_columns(x_max, step):
+    """Column arrays (x, count, pi_x, R, R_scaled) at x = step, 2 step, ...
+    <= x_max, filled block by block from a segmented r2 sieve."""
+    rows = _scan_rows(x_max, step)
+    try:
+        cols = tuple(np.empty(rows, dtype=t)
+                     for t in (np.float64, np.int64, np.float64, np.float64, np.float64))
+    except (MemoryError, ValueError):
+        raise ValueError(f"a scan of {rows:.3g} rows needs {40 * rows:.3g} bytes of columns, "
+                         "more than can be allocated") from None
+    for lo, block in zip(range(0, rows, _BLOCK), _scan_blocks(rows, step)):
+        for col, part in zip(cols, block):
+            col[lo:lo + len(part)] = part
+    return cols
 
 
 def scan_R(x_max, step=1.0, delta=0.1, collect_rows=True):
     """Scan of the circle-problem error: rows per step plus a summary with
     sup |R(x)|/x^(1/4) and the running sups of |G| (at h = 0 and h =
-    delta) over M <= 2^17 on a 20-point x grid."""
+    delta) over M <= 2^17 on a 20-point x grid.  The scan runs in blocks,
+    so without rows its memory does not grow with x_max."""
     if not 0 <= delta < 0.25:
         raise ValueError("delta must satisfy 0 <= delta < 1/4")
-    x, counts, pi_x, R, R_scaled = scan_columns(x_max, step)
+    sup_r, rows = 0.0, []
+    for x, counts, pi_x, R, R_scaled in _scan_blocks(_scan_rows(x_max, step), step):
+        sup_r = max(sup_r, float(np.max(np.abs(R_scaled))))
+        if collect_rows:
+            rows += [ScanRow(float(a), int(b), float(c), float(d), float(e))
+                     for a, b, c, d, e in zip(x, counts, pi_x, R, R_scaled)]
     # g_running_sup at (0, 2^17), (0, 2^16) and (delta, 2^17) per grid
     # point, from one cos array; cumsum adds in order, so the 2^16 sup is
     # the one over the first half of the 2^17 partial sums
     n = np.arange(1, (1 << 17) + 1, dtype=np.float64)
     w0, w_delta = n ** 0.75, n ** (0.75 - delta)
+    c, g = np.empty_like(n), np.empty_like(n)
     sups = []
     for gx in (j * x_max / 20 + 0.5 for j in range(1, 21)):
-        c = _g_cos(n, gx)
-        g0 = np.abs(np.cumsum(c / w0))
-        sups.append((float(np.max(g0)), float(np.max(g0[:1 << 16])),
-                     float(np.max(np.abs(np.cumsum(c / w_delta))))))
+        _g_cos(n, gx, out=c)
+        g0 = np.abs(np.cumsum(np.divide(c, w0, out=g), out=g), out=g)
+        sup0, sup_half = float(np.max(g0)), float(np.max(g0[:1 << 16]))
+        g_delta = np.abs(np.cumsum(np.divide(c, w_delta, out=g), out=g), out=g)
+        sups.append((sup0, sup_half, float(np.max(g_delta))))
     sup_g, sup_g_half, sup_g_delta = map(max, zip(*sups))
     summary = {
-        "sup_R_scaled": float(np.max(np.abs(R_scaled))),
+        "sup_R_scaled": sup_r,
         "sup_G": sup_g,
         "sup_G_halfM": sup_g_half,
         "sup_G_delta": sup_g_delta,
     }
-    rows = []
-    if collect_rows:
-        rows = [ScanRow(float(a), int(b), float(c), float(d), float(e))
-                for a, b, c, d, e in zip(x, counts, pi_x, R, R_scaled)]
     return ScanResult(rows=rows, summary=summary)

@@ -2,7 +2,12 @@
 Euler-Maclaurin diagnostics for the circle-problem error term."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,12 +15,13 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from qforms.circle import (G, R_expansion, S_sum, TruncationSpec, bessel_j1,
+import qforms
+from qforms.circle import (G, R_expansion, S_sum, ScanRow, TruncationSpec, bessel_j1,
                            c1, em_f4, euler_maclaurin_defect,
                            euler_maclaurin_f4_bound, euler_maclaurin_residual,
                            fresnel, fresnel_closed_sum, g_running_sup,
                            hardy_sum, lattice_count, oscillatory_sum,
-                           r2_table, scan_R, scan_columns, _window_mean)
+                           r2_table, scan_R, scan_columns, _r2_segment, _window_mean)
 from qforms.repcount import r2
 
 
@@ -53,6 +59,48 @@ def test_r2_table_matches_divisor_form():
     arr = r2_table(2000)
     for n in range(2001):
         assert int(arr[n]) == r2(n), n
+
+
+@lru_cache(maxsize=None)
+def _r2_upto(n):
+    """r2(0..n-1) from the divisor form."""
+    return tuple(r2(m) for m in range(n))
+
+
+def test_r2_segment_every_segment_to_400():
+    want = _r2_upto(400)
+    for m1 in range(401):
+        for m0 in range(m1 + 1):
+            assert _r2_segment(m0, m1).tolist() == list(want[m0:m1]), (m0, m1)
+
+
+# ends on squares (1000^2, 1024^2, 1999^2, 2000^2) and on sums of two squares
+# (999937 = 999^2 + 44^2, 1000001 = 1000^2 + 1^2)
+@pytest.mark.parametrize("m0,m1", [
+    (0, 1), (0, 2), (0, 65536), (999_999, 1_000_000), (1_000_000, 1_000_001),
+    (1_000_000, 1_004_096), (999_937, 1_000_000), (999_936, 1_000_001), (999_937, 1_000_001),
+    (1_000_001, 1_000_002), (1_000_002, 1_003_002), (1_048_576, 1_048_577),
+    (3_996_001, 4_000_000), (3_996_001, 4_000_001), (4_000_000, 4_000_001)])
+def test_r2_segment_matches_divisor_form(m0, m1):
+    assert _r2_segment(m0, m1).tolist() == [r2(m) for m in range(m0, m1)]
+
+
+@pytest.mark.parametrize("m", [10**6 + k * k for k in range(0, 1500, 97)]
+                         + [97**2 + 1000**2, 2**40, 2**40 + 1, 5**18])
+def test_r2_segment_of_length_one_on_squares_and_two_square_values(m):
+    assert _r2_segment(m, m + 1).tolist() == [r2(m)]
+    assert _r2_segment(m - 1, m).tolist() == [r2(m - 1)]
+
+
+@pytest.mark.parametrize("m0,m1", [(0, 2**52 + 1), (2**52, 2**52 + 1), (2**60, 2**60 + 5), (-1, 5), (5, 4)])
+def test_r2_segment_refuses_what_its_float_roots_cannot_hold(m0, m1):
+    with pytest.raises(ValueError, match="2\\^52"):
+        _r2_segment(m0, m1)
+
+
+@pytest.mark.parametrize("n", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+def test_r2_table_across_segment_edges(n):
+    assert r2_table(n).tolist() == list(_r2_upto(n + 1))
 
 
 # -- c1 coefficients -------------------------------------------------------------
@@ -431,6 +479,62 @@ def test_scan_summary_g_sups_are_running_sups_on_its_grid(x_max, delta):
     assert s["sup_G"] == max(g_running_sup(0.0, gx, 1 << 17) for gx in grid)
     assert s["sup_G_halfM"] == max(g_running_sup(0.0, gx, 1 << 16) for gx in grid)
     assert s["sup_G_delta"] == max(g_running_sup(delta, gx, 1 << 17) for gx in grid)
+
+
+def _dense_counts(n):
+    """Lattice counts at 0..n from a dense per-i fancy-index sieve."""
+    arr = np.zeros(n + 1, dtype=np.int64)
+    arr[0] = 1
+    for i in range(1, math.isqrt(n) + 1):
+        arr[i * i] += 4
+        js = np.arange(1, math.isqrt(n - i * i) + 1, dtype=np.int64)
+        arr[i * i + js * js] += 4
+    return np.cumsum(arr)
+
+
+@pytest.mark.parametrize("step", [1.0, 0.37, 7.77])
+@pytest.mark.parametrize("rows", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
+def test_scan_columns_at_block_edges(rows, step):
+    x_max = (rows + 0.5) * step
+    x, counts, pi_x, R, R_scaled = scan_columns(x_max, step)
+    k = np.arange(1, rows + 1, dtype=np.float64)
+    assert np.array_equal(x, k * step)
+    fl = np.floor(x).astype(np.int64)
+    assert np.array_equal(counts, _dense_counts(int(fl[-1]))[fl])
+    assert np.array_equal(pi_x, math.pi * x)
+    assert np.array_equal(R, counts - pi_x)
+    assert np.array_equal(R_scaled, R / x ** 0.25)
+    edges = {e + d for e in range(0, rows, 1 << 16) for d in (-2, -1, 0, 1)} | {rows - 1}
+    for i in sorted(e for e in edges if 0 <= e < rows):
+        assert counts[i] == lattice_count(int(fl[i])), (i, x[i])
+
+
+@pytest.mark.parametrize("step", [1.0, 0.37, 7.77])
+def test_scan_R_rows_are_the_columns_across_blocks(step):
+    x_max = ((1 << 16) + 1.5) * step
+    res = scan_R(x_max, step)
+    cols = scan_columns(x_max, step)
+    assert res.rows == [ScanRow(float(a), int(b), float(c), float(d), float(e))
+                        for a, b, c, d, e in zip(*cols)]
+    assert res.summary["sup_R_scaled"] == float(np.max(np.abs(cols[4])))
+    assert scan_R(x_max, step, collect_rows=False).summary == res.summary
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_scan_R_memory_does_not_grow_with_x_max():
+    # the dense sieve held r2, its cumsum and eight full columns: 640 MB at 10^7.
+    # The child reads its peak RSS as VmHWM: Linux carries ru_maxrss across
+    # exec, so that would report this test process's own peak.
+    code = ("from qforms.circle import scan_R; "
+            "s = scan_R(10**7, 1.0, collect_rows=False).summary['sup_R_scaled']; "
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]; "
+            "print(repr(s), hwm.split()[1])")
+    src = str(Path(qforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env, timeout=120).stdout.split()
+    assert float(out[0]) == 8.038895505529606
+    assert int(out[1]) < 150 * 1024  # kB
 
 
 def test_dense_scan_sup_regression():

@@ -161,6 +161,16 @@ def test_precondition_violations_exit_2():
         assert run_cli("circle", op, "--verify", "oracle").returncode == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    # 8 PB of columns: past the user address space under any overcommit setting
+    (("--xmax", "1e15"), "a scan of 1e+15 rows needs 4e+16 bytes of columns, more than can be allocated"),
+    (("--xmax", "1e17", "--step", "1e10"), "x_max 1e+17 is not below 2^52, the reach of the r2 sieve"),
+    (("--xmax", "1e15", "--step", "1e-300"), "x_max / step overflows: 1000000000000000.0 / 1e-300")])
+def test_scan_that_cannot_run_exits_2(args, message):
+    proc = run_cli("circle", "scan", *args, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
+
+
 @pytest.mark.parametrize("args,name", [(("sinh", "--x", "inf"), "x"), (("sinh", "--x", "nan"), "x"),
                                        (("jacobik", "--r", "nan"), "r"), (("app1", "--r", "nan"), "r")])
 def test_identity_refuses_non_finite_parameters(args, name):
