@@ -6,15 +6,23 @@ boundedness scans.
 Exact counts use pure integer arithmetic.  The infinite series here are
 conditionally convergent; truncated partial sums are averaged over a
 window of consecutive cutoffs (TruncationSpec.smooth_window) to tame the
-persistent oscillation of plain truncation.  Everything is single-pass
-deterministic: outputs depend only on the inputs, never on scheduling.
+persistent oscillation of plain truncation.
+
+Three float passes are made of independent tasks and spread over the CPUs
+the process may run on (_spread): the 20 grid points of scan_R's G sups,
+two row halves of every n-block of the P/Q sums, and two halves of
+hardy_sum's J_1 array.  Each task does the same operations in the same
+order at any CPU count, so every output is bit-identical to a one-CPU run
+and depends only on the inputs, never on scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -114,6 +122,72 @@ def _window_mean(partials, window):
     return float(np.mean(partials[-w:]))
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _threads(tasks):
+    """How many threads run `tasks` independent tasks in _spread: the calling
+    thread and a pool worker per other allowed CPU, no more than the tasks."""
+    return min(_cpus(), tasks)
+
+
+@lru_cache(maxsize=None)
+def _pool(workers):
+    """The thread pool of `workers` workers, made on first use, never at import."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="qforms-circle")
+
+
+def _spread(tasks, slots, own=None):
+    """Run task(slot) for every task of tasks and return (own(), the task
+    results in task order).  With more than one allowed CPU the tasks go to
+    the pool; own, if given, runs on the calling thread meanwhile, which
+    then takes back each task that no worker has started.
+
+    A running task holds one slot from a queue of free slots: buffers the
+    calling thread allocated, _threads(len(tasks)) sets of them, so that
+    workers write only through out= and allocate no arrays (arrays a worker
+    allocates stay in its own malloc arena and raise the peak RSS).  Tasks
+    call no public function of this module: a tracer that wraps those
+    keeps one span stack, which a worker's call would corrupt."""
+    import queue  # imported here, as the pool is made: not at qforms' start-up
+
+    free = queue.SimpleQueue()
+    for slot in slots:
+        free.put(slot)
+
+    def held(task):
+        slot = free.get()
+        try:
+            return task(slot)
+        finally:
+            free.put(slot)
+
+    workers = _cpus() - 1
+    if workers < 1:
+        return (own() if own else None), [held(task) for task in tasks]
+    from concurrent.futures import wait
+
+    futures = [_pool(workers).submit(held, task) for task in tasks]
+    try:
+        mine = own() if own else None
+        taken = {}
+        for i, (task, future) in enumerate(zip(tasks, futures)):
+            if future.cancel():
+                taken[i] = held(task)
+        return mine, [taken[i] if i in taken else f.result() for i, f in enumerate(futures)]
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)  # no task outlives the call, nor writes to its buffers after it
+
+
 def c1(m):
     """Exact rational (-1)^m (-1/2)_m (3/2)_m / m!."""
     if m < 0:
@@ -169,9 +243,25 @@ def hardy_sum(x, spec=TruncationSpec()):
         raise ValueError("integer x sits on a jump of the lattice count")
     from scipy.special import j1  # imported here: scipy is most of qforms' start-up
 
-    n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
-    weights = r2_table(spec.n_cut)[1:].astype(np.float64)
-    terms = weights / np.sqrt(n) * j1(2 * math.pi * np.sqrt(n * x))
+    try:
+        n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
+        bessel = np.empty_like(n)
+    except (MemoryError, ValueError):
+        raise ValueError(f"n_cut {spec.n_cut} is too large: its arrays cannot be allocated") from None
+
+    def j1_part(lo, hi):
+        def task(_):  # J_1(2 pi sqrt(n x)) over lo <= n - 1 < hi, in place in bessel
+            part = bessel[lo:hi]
+            np.multiply(n[lo:hi], x, out=part)
+            np.sqrt(part, out=part)
+            np.multiply(2 * math.pi, part, out=part)
+            j1(part, out=part)
+        return task
+
+    half = (spec.n_cut + 1) // 2
+    weights, _ = _spread([j1_part(0, half), j1_part(half, spec.n_cut)], [None] * _threads(2),
+                         lambda: r2_table(spec.n_cut)[1:].astype(np.float64))
+    terms = weights / np.sqrt(n) * bessel
     partials = math.pi * x + math.sqrt(x) * np.cumsum(terms)
     return _window_mean(partials, spec.smooth_window)
 
@@ -179,31 +269,69 @@ def hardy_sum(x, spec=TruncationSpec()):
 _TRIG = {"M": np.cos, "N": np.sin, "P": np.cos, "Q": np.sin}
 
 
-def _odd_k_partials(terms, a, b_arr, k_cut):
-    """Partial sums over odd k of (-1)^((k+1)/2) trig(a + b sqrt(k))/k^s
-    for every b in b_arr, one array of shape (len(b_arr), #odd k) per
-    (which, s) in terms, trig being cos for M/P and sin for N/Q.  The phase
-    and each trig array the terms need are computed once; the partial sums
-    are made one term at a time, as the result is iterated."""
-    k = np.arange(1, k_cut + 1, 2, dtype=np.float64)
-    sign = np.where((((k + 1) // 2) % 2).astype(bool), -1.0, 1.0)
-    phase = a + np.outer(np.asarray(b_arr, dtype=np.float64), np.sqrt(k))
-    trig = {f: f(phase) for f in {_TRIG[which] for which, _ in terms}}
-    return (np.cumsum(trig[_TRIG[which]] * (sign / k ** s), axis=1) for which, s in terms)
+def _odd_k_setup(terms, k_cut, rows, slots):
+    """sqrt(k) over odd k <= k_cut, the weights (-1)^((k+1)/2)/k^s of each
+    (which, s) in terms, and `slots` sets of the buffers _odd_k_sums works
+    in, of `rows` rows each.  A k_cut whose arrays cannot be allocated is
+    refused here, before any work starts."""
+    funcs = {_TRIG[which] for which, _ in terms}
+    try:
+        k = np.arange(1, k_cut + 1, 2, dtype=np.float64)
+        sign = np.where((((k + 1) // 2) % 2).astype(bool), -1.0, 1.0)
+        weights = [sign / k ** s for _, s in terms]
+        bufs = [[np.empty((rows, len(k))) for _ in range(len(funcs) + 1)] for _ in range(slots)]
+        return np.sqrt(k), weights, bufs
+    except (MemoryError, ValueError):
+        raise ValueError(f"k_cut {k_cut} is too large: its arrays of {(k_cut + 1) // 2} "
+                         "odd k cannot be allocated") from None
+
+
+def _odd_k_sums(terms, a, b_col, root_k, weights, bufs):
+    """Partial sums over odd k of (-1)^((k+1)/2) trig(a + b sqrt(k))/k^s for
+    every b of the column b_col, trig being cos for M/P and sin for N/Q:
+    yields (t, sums) for the t-th (which, s) of terms, sums being a
+    (len(b_col), #odd k) array that the next term overwrites.  The phase
+    and each trig array the terms need are computed once, in bufs from
+    _odd_k_setup (the last trig in place over the phase); nothing is
+    allocated."""
+    phase, *trig_bufs, acc = (buf[:len(b_col)] for buf in bufs)
+    np.multiply(b_col, root_k, out=phase)
+    np.add(a, phase, out=phase)
+    funcs = list(dict.fromkeys(_TRIG[which] for which, _ in terms))
+    for f, out in zip(funcs, [*trig_bufs, phase]):
+        trig = f(phase, out=out)
+        for t, (which, _) in enumerate(terms):
+            if _TRIG[which] is f:
+                np.multiply(trig, weights[t], out=acc)
+                yield t, np.cumsum(acc, axis=1, out=acc)
 
 
 def _pq_sums(terms, a, b, spec):
     """Truncated P_s (which "P") and Q_s (which "Q") for every (which, s)
     in terms: inner sums over odd k at b sqrt(n) for n <= n_cut, in blocks
     of about 4,000,000 phases, each block's phase evaluated once for all
-    terms."""
-    n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
-    inner = np.empty((len(terms), spec.n_cut), dtype=np.float64)
+    terms.  A block's two row halves run as two tasks of _spread."""
     block = max(1, 4_000_000 // max(1, spec.k_cut // 2))
+    rows = min(block, spec.n_cut)
+    try:
+        n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
+        b_col = (b * np.sqrt(n))[:, None]
+        inner = np.empty((len(terms), spec.n_cut), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise ValueError(f"n_cut {spec.n_cut} is too large: its arrays cannot be allocated") from None
+    root_k, weights, slots = _odd_k_setup(terms, spec.k_cut, (rows + 1) // 2, _threads(min(rows, 2)))
+
+    def rows_task(lo, hi):
+        def task(bufs):
+            for t, sums in _odd_k_sums(terms, a, b_col[lo:hi], root_k, weights, bufs):
+                inner[t, lo:hi] = sums[:, -1]
+        return task
+
     for lo in range(0, spec.n_cut, block):
         hi = min(lo + block, spec.n_cut)
-        for row, cp in zip(inner, _odd_k_partials(terms, a, b * np.sqrt(n[lo:hi]), spec.k_cut)):
-            row[lo:hi] = cp[:, -1]
+        mid = (lo + hi + 1) // 2
+        _spread([rows_task(lo, mid), rows_task(mid, hi)] if hi - lo > 1 else [rows_task(lo, hi)],
+                slots)
     return [_window_mean(np.cumsum(row / n ** s), spec.smooth_window)
             for row, (_, s) in zip(inner, terms)]
 
@@ -214,7 +342,8 @@ def oscillatory_sum(which, s, a, b, spec=TruncationSpec()):
     truncated at k_cut, the reported value averages the last
     smooth_window outer partial sums."""
     if which in ("M", "N"):
-        (partials,) = _odd_k_partials([(which, s)], a, [b], spec.k_cut)
+        root_k, weights, (bufs,) = _odd_k_setup([(which, s)], spec.k_cut, 1, 1)
+        ((_, partials),) = _odd_k_sums([(which, s)], a, np.array([[float(b)]]), root_k, weights, bufs)
         return _window_mean(partials[0], spec.smooth_window)
     if which in ("P", "Q"):
         return _pq_sums([(which, s)], a, b, spec)[0]
@@ -446,28 +575,40 @@ def scan_R(x_max, step=1.0, delta=0.1, collect_rows=True):
     """Scan of the circle-problem error: rows per step plus a summary with
     sup |R(x)|/x^(1/4) and the running sups of |G| (at h = 0 and h =
     delta) over M <= 2^17 on a 20-point x grid.  The scan runs in blocks,
-    so without rows its memory does not grow with x_max."""
+    so without rows its memory does not grow with x_max.  The grid points
+    are tasks of _spread, while the calling thread runs the scan."""
     if not 0 <= delta < 0.25:
         raise ValueError("delta must satisfy 0 <= delta < 1/4")
-    sup_r, rows = 0.0, []
-    for x, counts, pi_x, R, R_scaled in _scan_blocks(_scan_rows(x_max, step), step):
-        sup_r = max(sup_r, float(np.max(np.abs(R_scaled))))
-        if collect_rows:
-            rows += [ScanRow(float(a), int(b), float(c), float(d), float(e))
-                     for a, b, c, d, e in zip(x, counts, pi_x, R, R_scaled)]
+    n_rows = _scan_rows(x_max, step)
+
+    def scan():
+        sup_r, rows = 0.0, []
+        for x, counts, pi_x, R, R_scaled in _scan_blocks(n_rows, step):
+            sup_r = max(sup_r, float(np.max(np.abs(R_scaled))))
+            if collect_rows:
+                rows += [ScanRow(float(a), int(b), float(c), float(d), float(e))
+                         for a, b, c, d, e in zip(x, counts, pi_x, R, R_scaled)]
+        return sup_r, rows
+
     # g_running_sup at (0, 2^17), (0, 2^16) and (delta, 2^17) per grid
     # point, from one cos array; cumsum adds in order, so the 2^16 sup is
     # the one over the first half of the 2^17 partial sums
     n = np.arange(1, (1 << 17) + 1, dtype=np.float64)
     w0, w_delta = n ** 0.75, n ** (0.75 - delta)
-    c, g = np.empty_like(n), np.empty_like(n)
-    sups = []
-    for gx in (j * x_max / 20 + 0.5 for j in range(1, 21)):
-        _g_cos(n, gx, out=c)
-        g0 = np.abs(np.cumsum(np.divide(c, w0, out=g), out=g), out=g)
-        sup0, sup_half = float(np.max(g0)), float(np.max(g0[:1 << 16]))
-        g_delta = np.abs(np.cumsum(np.divide(c, w_delta, out=g), out=g), out=g)
-        sups.append((sup0, sup_half, float(np.max(g_delta))))
+
+    def grid_point(gx):
+        def task(slot):
+            c, g = slot
+            _g_cos(n, gx, out=c)
+            g0 = np.abs(np.cumsum(np.divide(c, w0, out=g), out=g), out=g)
+            sup0, sup_half = float(np.max(g0)), float(np.max(g0[:1 << 16]))
+            g_delta = np.abs(np.cumsum(np.divide(c, w_delta, out=g), out=g), out=g)
+            return sup0, sup_half, float(np.max(g_delta))
+        return task
+
+    grid = [grid_point(j * x_max / 20 + 0.5) for j in range(1, 21)]
+    slots = [(np.empty_like(n), np.empty_like(n)) for _ in range(_threads(len(grid)))]
+    (sup_r, rows), sups = _spread(grid, slots, scan)
     sup_g, sup_g_half, sup_g_delta = map(max, zip(*sups))
     summary = {
         "sup_R_scaled": sup_r,

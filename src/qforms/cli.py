@@ -404,9 +404,10 @@ def run(argv):
 
 
 def main(argv=None):
-    # QFORMS_THREADS is accepted for symmetry with batch drivers; every
-    # computation here is deterministic and single-pass, so the value
-    # never changes the output bytes.
+    # QFORMS_THREADS is accepted for symmetry with batch drivers and does
+    # nothing: the circle passes that spread over threads (circle._spread)
+    # take the process's allowed CPUs and give bit-identical output at any
+    # count, so the value never changes the output bytes.
     threads = os.environ.get("QFORMS_THREADS")
     if threads is not None and (not threads.isdigit() or int(threads) < 1):
         print("qforms: QFORMS_THREADS must be a positive integer", file=sys.stderr)

@@ -1,10 +1,13 @@
 """Lattice counts, Bessel series, oscillatory sums, Fresnel forms, and
 Euler-Maclaurin diagnostics for the circle-problem error term."""
 
+import faulthandler
+import inspect
 import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -545,3 +548,59 @@ def test_dense_scan_sup_regression():
     assert float(np.max(np.abs(R_scaled))) == pytest.approx(7.281594263951899, abs=1e-9)
     assert x[i] == 574560.0
     assert counts[i] == lattice_count(574560)
+
+
+# -- the passes spread over the allowed CPUs ---------------------------------------------------
+
+# Truncations whose P/Q blocks have an odd number of rows: one block of 301
+# (halves of 151 and 150), and blocks of 5, 5 and 1 with 750,000 odd k.
+ODD_ROWS = [TruncationSpec(301, 999, 17), TruncationSpec(11, 1_500_000, 3)]
+
+CPU_CASES = {
+    "scan_R[1e6]": lambda: scan_R(10**6, 1.0, collect_rows=False).summary,
+    "scan_R[300,0.7]": lambda: scan_R(300, 0.7, 0.2),
+    "R_expansion": lambda: [R_expansion(25.3, 3, spec) for spec in SPECS + ODD_ROWS[:1]],
+    "S_sum": lambda: [S_sum(x, spec) for spec in SPECS + ODD_ROWS[:1] for x in (2.5, 25.3)],
+    "oscillatory_sum": lambda: [oscillatory_sum(which, 1.25, 0.7, 3.1, spec)
+                                for spec in SPECS + ODD_ROWS for which in "PQ"],
+    "hardy_sum": lambda: [hardy_sum(13.37), hardy_sum(2.5, TruncationSpec(100001, 10, 64))],
+}
+
+
+def _allow_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("case", sorted(CPU_CASES))
+def test_results_do_not_depend_on_the_cpu_count(case, cpus, monkeypatch):
+    # 4 CPUs runs a pool of three workers, more than the cores of a small
+    # machine, and the short switch interval interleaves the threads often
+    expected = CPU_CASES[case]()
+    interval = sys.getswitchinterval()
+    faulthandler.dump_traceback_later(120, exit=True)  # a stuck pool ends the run, not hangs it
+    try:
+        _allow_cpus(monkeypatch, cpus)
+        sys.setswitchinterval(1e-5)
+        assert CPU_CASES[case]() == expected
+    finally:
+        sys.setswitchinterval(interval)
+        faulthandler.cancel_dump_traceback_later()
+
+
+def test_workers_call_no_public_circle_function(monkeypatch):
+    # a tracer that wraps the public functions keeps one span stack
+    calls = []
+    for name, fn in list(vars(qforms.circle).items()):
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == "qforms.circle":
+            def recorded(*args, _fn=fn, _name=name, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(qforms.circle, name, recorded)
+    _allow_cpus(monkeypatch, 4)
+    qforms.circle.scan_R(1000.0, 0.7)
+    qforms.circle.R_expansion(25.3, 1, SPECS[0])
+    qforms.circle.S_sum(25.3, SPECS[0])
+    qforms.circle.hardy_sum(13.37)
+    assert {"scan_R", "R_expansion", "S_sum", "hardy_sum", "r2_table"} <= {name for name, _ in calls}
+    assert {ident for _, ident in calls} == {threading.get_ident()}

@@ -171,6 +171,28 @@ def test_scan_that_cannot_run_exits_2(args, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
 
 
+@pytest.mark.parametrize("args,message", [
+    # 8 PB and 4 PB arrays: past the user address space under any overcommit setting
+    (("rexp", "--x", "25.3", "--ncut", "1000000000000000"),
+     "n_cut 1000000000000000 is too large: its arrays cannot be allocated"),
+    (("hardy", "--x", "25.3", "--ncut", "1000000000000000"),
+     "n_cut 1000000000000000 is too large: its arrays cannot be allocated"),
+    (("rexp", "--x", "25.3", "--kcut", "1000000000000000", "--ncut", "100"),
+     "k_cut 1000000000000000 is too large: its arrays of 500000000000000 odd k cannot be allocated")])
+def test_series_cutoff_that_cannot_be_allocated_exits_2(args, message):
+    proc = run_cli("circle", *args, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
+
+
+def test_import_and_a_count_start_no_thread():
+    code = ("import threading, qforms, qforms.cli; "
+            "qforms.cli.run(['count', 'cubic', '--n', '1..5']); "
+            "print(threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "1"
+
+
 @pytest.mark.parametrize("args,name", [(("sinh", "--x", "inf"), "x"), (("sinh", "--x", "nan"), "x"),
                                        (("jacobik", "--r", "nan"), "r"), (("app1", "--r", "nan"), "r")])
 def test_identity_refuses_non_finite_parameters(args, name):
