@@ -199,10 +199,10 @@ def c1(m):
 
 
 def bessel_j1(x, method="series", N=3):
-    """J_1(x).  'series' sums the power series in adaptive-precision
-    arithmetic (immune to the cancellation that kills doubles for large
-    x); 'asymptotic' evaluates the large-x cosine/sine expansion with
-    c1-coefficient sums truncated at N."""
+    """J_1(x).  'series' is mpmath's besselj, which raises its working
+    precision past the cancellation of the power series at large x, rounded
+    to a float; 'asymptotic' evaluates the large-x cosine/sine expansion
+    with c1-coefficient sums truncated at N."""
     if method == "series":
         if x < 0:
             raise ValueError("x must be nonnegative")
@@ -210,17 +210,7 @@ def bessel_j1(x, method="series", N=3):
             return 0.0
         import mpmath
 
-        with mpmath.workdps(20 + int(0.45 * x)):
-            half = mpmath.mpf(x) / 2
-            term = half
-            total = term
-            m = 1
-            while True:
-                term *= -half * half / (m * (m + 1))
-                total += term
-                if abs(term) < mpmath.mpf(10) ** (-25) * abs(total):
-                    return float(total)
-                m += 1
+        return float(mpmath.besselj(1, x))
     if method == "asymptotic":
         if x <= 0:
             raise ValueError("asymptotic form needs x > 0")

@@ -138,15 +138,8 @@ def identity_check(which, **params):
         total = 1.0
         m = 1
         while True:
-            # inner alternating-geometric sum over l, cut below 1e-18
-            inner = 0.0
-            term = q ** m
-            sign = 1.0
-            while abs(term) > 1e-18:
-                inner += sign * term
-                term *= q ** (2 * m)
-                sign = -sign
-            total += 4.0 * inner
+            # the alternating geometric sum over l in closed form
+            total += 4.0 * q ** m / (1.0 + q ** (2 * m))
             if q ** m / (1.0 - q) < 1e-14:
                 break
             m += 1

@@ -140,6 +140,17 @@ def test_j1_series_matches_scipy():
         assert abs(bessel_j1(x) - float(scipy.special.j1(x))) < 1e-12, x
 
 
+@pytest.mark.parametrize("x", [3.8317059702075125, 7.015586669815619, 0.3, 50.5, 181.7, 1000.25])
+def test_j1_series_against_40_digit_mpmath(x):
+    # the first two are J1's first two zeros, where a power series cut at a
+    # fixed relative term size keeps only about 6 digits of the tiny value
+    got = bessel_j1(x)
+    with mpmath.workdps(40):
+        ref = mpmath.besselj(1, x)
+        err = abs((got - ref) / ref)
+    assert err <= 1e-15, (x, float(err))
+
+
 def test_j1_series_vs_asymptotic():
     for x in (15.0, 20.0, 50.0, 100.0, 200.0):
         d = abs(bessel_j1(x) - bessel_j1(x, "asymptotic", 3))

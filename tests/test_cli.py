@@ -79,6 +79,25 @@ def test_quad_refuses_negative_targets():
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "qforms: n_max must be nonnegative\n"), args
 
 
+@pytest.mark.parametrize("args,message", [
+    (("--diag", "1"), "--diag needs two integers, got 1"),
+    (("--diag", "1,2,3"), "--diag needs two integers, got 3"),
+    (("--diag", "1,2", "--lin", "1"), "--lin needs two integers, got 1")])
+def test_affine_names_the_flag_that_needs_two_integers(args, message):
+    proc = run_cli("count", "affine", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
+
+
+def test_closed_tri_odd_m_checks_16_times_the_value(monkeypatch, capsys):
+    argv = ["count", "tri", "--m", "3", "--vars", "4", "--method", "closed",
+            "--n", "0..30", "--verify", "oracle"]
+    closed = repcount.tri_N_closed
+    v = closed(3, 4, 5)
+    monkeypatch.setattr(repcount, "tri_N_closed", lambda m, N, n: closed(m, N, n) + (n == 5))
+    assert cli.main(argv) == 3
+    assert f"value 16 * {v + 1} at n=5 but oracle gives {16 * v}\n" in capsys.readouterr().err
+
+
 def test_closed_tri_refuses_nonneg_domain():
     proc = run_cli("count", "tri", "--m", "2", "--vars", "3", "--method", "closed",
                    "--domain", "nonneg", "--n", "0..5", "--verify", "oracle")
@@ -169,6 +188,23 @@ def test_precondition_violations_exit_2():
 def test_scan_that_cannot_run_exits_2(args, message):
     proc = run_cli("circle", "scan", *args, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
+
+
+def test_scan_csv_is_written_row_by_row(tmp_path):
+    # built whole, the text and one tuple per row took this command to
+    # 561 MB. The child reads its peak RSS as VmHWM: Linux carries
+    # ru_maxrss across exec, so that would report this test process's peak.
+    out = tmp_path / "scan.csv"
+    code = ("import sys, qforms.cli; "
+            "code = qforms.cli.main(['circle', 'scan', '--xmax', '1e6', '--step', '1', '--out', sys.argv[1]]); "
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]; "
+            "print(code, hwm.split()[1])")
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True, text=True,
+                          env=child_env(), timeout=120, check=True)
+    code, hwm = map(int, proc.stdout.split())
+    with open(out) as fh:
+        assert (code, next(fh), sum(1 for _ in fh)) == (0, "x,count,pi_x,R,R_scaled\n", 10**6)
+    assert hwm < 300 * 1024  # kB
 
 
 @pytest.mark.parametrize("args,message", [
