@@ -7,34 +7,65 @@ Everything here is exact: integer or Fraction valued, no floats.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
-def divisors(n):
-    """Positive divisors of n >= 1, ascending, expanded from n's factorization
-    by trial division (2, then odd p while p^2 <= the unfactored part)."""
-    if n < 1:
-        raise ValueError("divisors requires n >= 1")
-    divs = [1]
-    p, step = 2, 1
+def _factor(n):
+    """[(p, k), ...] with n = prod p^k over the primes p | n, ascending, for
+    n >= 1: the power of 2 from the low bits, then trial division by odd p
+    while p^2 <= the unfactored part."""
+    fs = []
+    k = (n & -n).bit_length() - 1
+    if k:
+        fs.append((2, k))
+        n >>= k
+    p = 3
     while p * p <= n:
         if n % p == 0:
-            k = 0
+            k = 1
+            n //= p
             while n % p == 0:
                 n //= p
                 k += 1
-            divs = [d * p**e for e in range(k + 1) for d in divs]
-        p += step
-        step = 2
+            fs.append((p, k))
+        p += 2
     if n > 1:
-        divs += [d * n for d in divs]
+        fs.append((n, 1))
+    return fs
+
+
+def divisors(n):
+    """Positive divisors of n >= 1, ascending, expanded from n's factorization."""
+    if n < 1:
+        raise ValueError("divisors requires n >= 1")
+    divs = [1]
+    for p, k in _factor(n):
+        if k == 1:
+            divs += [d * p for d in divs]
+        else:
+            divs = [d * p**e for e in range(k + 1) for d in divs]
     divs.sort()
     return divs
 
 
 def divisor_sum(n, nu=1):
-    """sigma_nu(n): the sum of d^nu over the divisors d of n."""
-    return sum(d**nu for d in divisors(n))
+    """sigma_nu(n): the sum of d^nu over the divisors d of n >= 1, for any
+    integer nu; the product over p^k || n of (p^(nu(k+1)) - 1)/(p^nu - 1),
+    or of k + 1 at nu = 0.  For nu < 0 it is sigma_|nu|(n) / n^|nu|, exact."""
+    if n < 1:
+        raise ValueError("divisor_sum requires n >= 1")
+    nu = operator.index(nu)  # a float nu would round the product
+    if nu < 0:
+        return _ratio(divisor_sum(n, -nu), n**-nu)
+    s = 1
+    for p, k in _factor(n):
+        if nu:
+            q = p**nu
+            s *= (q ** (k + 1) - 1) // (q - 1)
+        else:
+            s *= k + 1
+    return s
 
 
 def chi0(n):
@@ -68,10 +99,14 @@ def f_kh(k, h, n):
 
 
 def sigma_star(a, n):
-    """(1/n) * sum of divisors of n coprime to a, exact."""
+    """(1/n) * sum of divisors of n coprime to a, exact: sigma_1 of the part
+    of n made of the primes p that do not divide a, over n."""
     if n < 1:
         raise ValueError("sigma_star requires n >= 1")
-    s = sum(d for d in divisors(n) if math.gcd(d, a) == 1)
+    s = 1
+    for p, k in _factor(n):
+        if a % p:
+            s *= (p ** (k + 1) - 1) // (p - 1)
     return _ratio(s, n)
 
 
@@ -188,5 +223,16 @@ def reduced_forms(D):
 
 
 def class_number(D):
-    """h(D): number of primitive reduced forms of discriminant D < 0."""
-    return len(reduced_forms(D))
+    """h(D): number of primitive reduced forms of discriminant D < 0, counted
+    on reduced_forms' b-major walk without listing them."""
+    if D >= 0 or D % 4 not in (0, 1):
+        raise ValueError("discriminant must be negative and 0 or 1 mod 4")
+    h = 0
+    for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
+        ac = (b * b - D) // 4
+        for a in range(max(b, 1), math.isqrt(ac) + 1):
+            if not ac % a:
+                c = ac // a
+                if math.gcd(a, b, c) == 1:
+                    h += 2 if 0 < b < a < c else 1  # (a, -b, c) is reduced too
+    return h

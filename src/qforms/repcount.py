@@ -153,12 +153,20 @@ def count_form(spec, n_max):
 
 
 def r2(n):
-    """Ordered integer pairs with x^2 + y^2 = n."""
+    """Ordered integer pairs with x^2 + y^2 = n: 4 (d_1 - d_3)(n), counting
+    divisors 1 and 3 mod 4, which is 4 prod (k + 1) over the p^k || n with
+    p = 1 (mod 4), or 0 when some p = 3 (mod 4) has odd k."""
     if n < 0:
         raise ValueError("r2 requires n >= 0")
     if n == 0:
         return 1
-    return 4 * sum(1 if d % 4 == 1 else -1 for d in divisors(n) if d % 2)
+    count = 4
+    for p, k in arith._factor(n):
+        if p % 4 == 1:
+            count *= k + 1
+        elif p % 4 == 3 and k % 2:
+            return 0
+    return count
 
 
 def _bucket(n):
@@ -329,16 +337,14 @@ def cubic_count(n):
     """Ordered integer pairs with x^3 + y^3 = n, by the divisor closed form."""
     if n < 1:
         raise ValueError("cubic_count requires n >= 1")
-    exact = 0
     total = 0
     for d in divisors(n):
-        if d**3 == 4 * n:
-            exact += 1
-            continue
+        if d**3 >= 4 * n:  # every later divisor's t is negative
+            return total + (d**3 == 4 * n)
         t, r = divmod(4 * (n // d) - d * d, 3)
-        if t >= 0 and r == 0 and math.isqrt(t) ** 2 == t:
+        if r == 0 and math.isqrt(t) ** 2 == t:
             total += 2
-    return exact + total
+    return total
 
 
 def quintic_count(n, variant="amended"):
@@ -440,10 +446,13 @@ def _hurwitz6(M):
     """6 H(M) for M > 0, H the Hurwitz class number: the sum of
     h(-M/f^2) * 12/w over the f with f^2 | M and -M/f^2 = 0 or 1 (mod 4),
     where w = 6 at D = -3, 4 at D = -4 and 2 otherwise."""
+    fs = [1]  # the f with f^2 | M, from M's factorization
+    for p, k in arith._factor(M):
+        fs = [f * p**e for e in range(k // 2 + 1) for f in fs]
     total = 0
-    for f in range(1, math.isqrt(M) + 1):
+    for f in fs:
         D = -M // (f * f)
-        if M % (f * f) == 0 and D % 4 in (0, 1):
+        if D % 4 in (0, 1):
             total += arith.class_number(D) * {-3: 2, -4: 3}.get(D, 6)
     return total
 

@@ -1,5 +1,6 @@
 """Divisor sums, characters, indicators, and class numbers."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -46,6 +47,49 @@ def test_divisor_sum_all():
     assert divisor_sum(6, 1) == divisor_sum(6) == 12
     assert divisor_sum(6, 0) == 4
     assert divisor_sum(6, 2) == 50
+
+
+def test_divisor_sum_at_negative_nu_is_exact():
+    assert divisor_sum(6, -1) == 2 and type(divisor_sum(6, -1)) is int
+    assert divisor_sum(4, -1) == Fraction(7, 4)
+    assert divisor_sum(12, -2) == Fraction(sum(Fraction(1, d * d) for d in divisors(12)))
+    with pytest.raises(ValueError, match="divisor_sum"):
+        divisor_sum(0, -1)
+    with pytest.raises(TypeError):
+        divisor_sum(6, 0.5)
+
+
+# Inputs for the products over one factorization: every n <= 2e4, then
+# 5^25, 5^12 13^8, 2^64 3, and 3 5 and 3^2 7^4 5, where a prime 3 (mod 4)
+# has an odd and an even exponent.
+PRODUCT_N_MAX = 2 * 10**4
+PRODUCT_LARGE_N = ({5: 25}, {5: 12, 13: 8}, {2: 64, 3: 1}, {3: 1, 5: 1}, {3: 2, 7: 4, 5: 1})
+
+
+def _divisor_lists():
+    """(n, its divisors) for the inputs above: a sieve to 2e4, then every
+    product of prime powers p^e, e <= k, for the large n = prod p^k."""
+    sieve = [[] for _ in range(PRODUCT_N_MAX + 1)]
+    for d in range(1, PRODUCT_N_MAX + 1):
+        for m in range(d, PRODUCT_N_MAX + 1, d):
+            sieve[m].append(d)
+    yield from enumerate(sieve[1:], 1)
+    for powers in PRODUCT_LARGE_N:
+        divs = [math.prod(p**e for p, e in zip(powers, es))
+                for es in itertools.product(*(range(k + 1) for k in powers.values()))]
+        yield math.prod(p**k for p, k in powers.items()), divs
+
+
+def test_products_match_their_divisor_list_definitions():
+    for n, divs in _divisor_lists():
+        for nu in (0, 1, 2, 3):
+            assert divisor_sum(n, nu) == sum(d**nu for d in divs), (n, nu)
+        for a in (0, 1, 2, 6, -6, 35):
+            want = Fraction(sum(d for d in divs if math.gcd(d, a) == 1), n)
+            assert sigma_star(a, n) == want, (n, a)
+        assert r2(n) == 4 * sum(1 if d % 4 == 1 else -1 for d in divs if d % 2), n
+    assert r2(3 * 5) == 0 and r2(3**2 * 7**4 * 5) == 8
+    assert r2(5**25) == 4 * 26 and r2(5**12 * 13**8) == 4 * 13 * 9
 
 
 def test_odd_signed_kernel_matches_theta_square():
@@ -203,6 +247,12 @@ def test_reduced_forms_match_the_a_major_loop():
     for D in range(-6000, 0):
         if D % 4 in (0, 1):
             assert reduced_forms(D) == _reduced_forms_a_major(D), D
+
+
+def test_class_number_counts_the_reduced_forms():
+    for D in range(-10**4, 0):
+        if D % 4 in (0, 1):
+            assert class_number(D) == len(reduced_forms(D)), D
 
 
 def test_class_number_one_discriminants():

@@ -294,8 +294,13 @@ def test_cubic_rejects_nonpositive():
 
 
 def test_cubic_matches_integer_oracle():
-    for n in range(1, 5000):
+    for n in range(1, 5001):
         assert cubic_count(n) == oracle_odd_power_pairs(3, n, "integer"), n
+
+
+def test_cubic_counts_the_divisor_with_d_cubed_equal_to_4n():
+    # d = 2, 4, 6 is the last divisor the sum reads: (1, 1), (2, 2), (3, 3)
+    assert [cubic_count(n) for n in (2, 16, 54)] == [1, 1, 1]
 
 
 def test_quintic_amended_values():
