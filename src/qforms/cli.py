@@ -62,6 +62,10 @@ def _parse_terms(text):
 
 
 def _atom(v):
+    if type(v) is float:  # the exact types first: they are nearly every cell
+        return format(v, ".12g")
+    if type(v) is int:
+        return str(v)
     if isinstance(v, bool):
         return "pass" if v else "fail"
     if isinstance(v, Fraction):

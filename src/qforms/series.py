@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import mul, sub
 
 import numpy as np
@@ -437,8 +436,8 @@ def _stride(*lists):
 def _solve(c, rhs, d):
     """out with d[k]*out[k] = rhs[k] - sum_(1<=j<=k) c[j]*out[k-j], exactly.
 
-    The one linear recurrence behind inverse, log and exp_neg.  It runs on
-    the sub-lattice that c and rhs populate, with c scaled to integers,
+    The one linear recurrence behind inverse, log and _exp_recurrence.  It
+    runs on the sub-lattice that c and rhs populate, with c scaled to integers,
     through the divide-and-conquer driver -- unless c is sparse, as a theta
     series is: when the loop over the nonzero c[j] alone takes no more pairs
     than the driver's leaves (n * _LEAF / 2), that loop runs instead.
@@ -515,47 +514,36 @@ def _sqrt_unit(rel):
     return out
 
 
-def exp_neg(a):
-    """exp(-a) for a series a with zero constant term and no Laurent part.
+def _exp_recurrence(w):
+    """P[0:n], n = len(w), with P_0 = 1 and k P_k = sum_(1<=j<=k) w_j P_(k-j):
+    the series whose log-derivative t P'/P is sum_j w_j t^j, that is
+    exp(sum_j w_j t^j / j).  The one exp kernel, through _solve."""
+    n = len(w)
+    return _solve([-v for v in w], [1] + [0] * (n - 1), [1, *range(1, n)])
 
-    e = exp(-a) solves q e' = -(q a') e, so k e_k = -sum_j j a_j e_(k-j).
-    """
+
+def exp_neg(a):
+    """exp(-a) for a series a with zero constant term and no Laurent part;
+    its log-derivative is -sum_j j a_j q^j."""
     t = a.trim()
     if t.base < 0 or (t.base == 0 and t.coeffs[0] != 0):
         raise ValueError("exp_neg requires zero constant term and no negative exponents")
     if t.order < 1:
         raise ValueError("exp_neg needs validity at exponent 0")
-    n = t.order
     coeffs = [0] * t.base + list(t.coeffs)
-    w = [_div(j * v.numerator, v.denominator) for j, v in enumerate(coeffs)]  # j*a_j, an int when integral
-    return HalfLaurentSeries(0, _solve(w, [1] + [0] * (n - 1), [1, *range(1, n)]), n)
-
-
-def _partitions(n):
-    """Yield partitions of n as multiplicity dicts {part: count}."""
-    def rec(remaining, max_part, current):
-        if remaining == 0:
-            yield dict(current)
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            current[part] = current.get(part, 0) + 1
-            yield from rec(remaining - part, part, current)
-            if current[part] == 1:
-                del current[part]
-            else:
-                current[part] -= 1
-
-    yield from rec(n, n, {})
+    w = [_div(-j * v.numerator, v.denominator) for j, v in enumerate(coeffs)]  # -j*a_j, an int when integral
+    return HalfLaurentSeries(0, _exp_recurrence(w), t.order)
 
 
 def sqrt_coeff_fdb(f, n):
     """Coefficient n (half-units above the constant term) of sqrt(f).
 
-    Independent of the sqrt recurrence: evaluates the partition sum
-    sum_m h_m(1) sum' prod_j f_j^(a_j) / a_j! with
-    h_m(x) = (-1)^m x^(1/2 - m) (-1/2)_m, requiring f_0 = 1.  The inner
-    sum over the partitions with m parts is kept times m!, where each term
-    is the integer multinomial m!/prod_j a_j! times prod_j f_j^(a_j).
+    Independent of the sqrt recurrence and of convolve: evaluates Faa di
+    Bruno's sum over m of h_m(1)/m! times [q^n] (f - 1)^m, requiring f_0 = 1,
+    where h_m(x) = (-1)^m x^(1/2 - m) (-1/2)_m makes h_m(1)/m! the binomial
+    coefficient (1/2 choose m).  [q^n] (f - 1)^m is m! times the sum over the
+    partitions of n with m parts (the multinomial form; W. P. Johnson, Amer.
+    Math. Monthly 109, 2002); the powers come from a plain truncated product.
     """
     t = f._unit_part("sqrt_coeff_fdb")
     if n >= t.order:
@@ -564,26 +552,11 @@ def sqrt_coeff_fdb(f, n):
         return 0
     if n == 0:
         return 1
-    coeffs = t.coeffs
-    fact = list(accumulate(range(1, n + 1), mul, initial=1))
-    inner = [0] * (n + 1)  # inner[m]: m! times the sum over partitions with m parts
-    for part in _partitions(n):
-        m = sum(part.values())
-        weight, prod = fact[m], 1
-        for j, aj in part.items():
-            if not coeffs[j]:
-                break
-            weight //= fact[aj]
-            prod = prod * coeffs[j] ** aj
-        else:
-            inner[m] += weight * prod
-    return _norm(sum(_h_m(m) * inner[m] / fact[m] for m in range(1, n + 1) if inner[m]))
-
-
-@lru_cache(maxsize=128)
-def _h_m(m):
-    """(-1)^m (-1/2)_m as an exact rational (x = 1 case of h_m)."""
-    v = Fraction(1)
-    for i in range(m):
-        v *= Fraction(-1, 2) + i
-    return v if m % 2 == 0 else -v
+    g = t.coeffs[: n + 1]
+    power = [1] + [0] * n  # (f - 1)^(m-1) through q^n; it starts at q^(m-1)
+    binom, total = Fraction(1), 0
+    for m in range(1, n + 1):
+        power = [0] * m + [sum(map(mul, power[m - 1 : k], g[k - m + 1 : 0 : -1])) for k in range(m, n + 1)]
+        binom *= Fraction(3 - 2 * m, 2 * m)  # (1/2 choose m) from (1/2 choose m-1)
+        total += binom * power[n]
+    return _norm(total)

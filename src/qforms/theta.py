@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add
+from operator import add, sub
 
-from .arith import chi_kh
-from .series import HalfLaurentSeries, _solve
+from .series import HalfLaurentSeries, _exp_recurrence
 
 
 @dataclass(frozen=True)
@@ -105,13 +104,6 @@ def _lattice(order_half, a, b, alternating=False, nonneg=False):
     )
 
 
-def _times_binomial(c, e, sign):
-    """Coefficient list c times (1 + sign*q^(e/2)) for e >= 0, truncated to len(c)."""
-    if e == 0:
-        return [(1 + sign) * x for x in c]
-    return c[:e] + [x + sign * y for x, y in zip(c[e:], c)]
-
-
 def series(kind, order):
     """Exact truncated series for the kind, valid below q^order."""
     if order < 1:
@@ -121,46 +113,65 @@ def series(kind, order):
     if tag == "lattice":
         return _lattice(oh, *kind.params)
     if tag == "pochhammer":
-        a, step, negated = kind.params
-        return _pochhammer_product(a, step, negated, oh)
+        return _from_weights(_log_weights(_binomials(*kind.params, oh), oh))
     if tag == "triple_product_rhs":
         (z,) = kind.params
         return _triple_product(z, oh)
     raise ValueError(f"unknown theta kind {tag!r}")
 
 
-def _pochhammer_product(a_half, step_half, negated, order_half):
-    sign = 1 if negated else -1
-    c = [1] + [0] * (order_half - 1)
-    for e in range(a_half, order_half, step_half):
-        c = _times_binomial(c, e, sign)
-    return HalfLaurentSeries(0, c, order_half)
+def _log_weights(factors, n):
+    """w[0:n] with t P'/P = sum_j w_j t^j for P the product of the binomials
+    1 + s t^e over the (e, s) in factors, e >= 1 and s = +-1 (Euler's
+    logarithmic derivative; G. E. Andrews, The Theory of Partitions, ch. 1).
+    log(1 + s t^e) = -sum_m (-s)^m t^(em) / m, so a factor adds -e at every
+    multiple of e, and +e instead at the odd ones when s = 1."""
+    w = [0] * n
+    for e, s in factors:
+        w[e::e] = map(sub, w[e::e], repeat(e))
+        if s > 0:
+            w[e :: 2 * e] = map(add, w[e :: 2 * e], repeat(2 * e))
+    return w
+
+
+def _binomials(a_half, step_half, negated, n):
+    """The (e, s) of pochhammer(a_half, step_half, negated) below half-unit n."""
+    return [(e, 1 if negated else -1) for e in range(a_half, n, step_half)]
+
+
+def _from_weights(w):
+    """The unit series below half-unit len(w) with log-derivative weights w."""
+    return HalfLaurentSeries(0, _exp_recurrence(w), len(w))
 
 
 def _triple_product(z, order_half):
     """q^(base/2) times a power series: each factor 1 + q^(e/2) with e < 0
-    is q^(e/2) (1 + q^(-e/2)), so base is the sum of those e."""
+    is q^(e/2) (1 + q^(-e/2)), so base is the sum of those e, and a factor
+    with e = 0 is the constant 2."""
     base = sum(range(2 - 2 * z, 0, 4))
     size = order_half - base
-    c = [1] + [0] * (size - 1)
-    for start, sign in ((4, -1), (2 - 2 * z, 1), (2 + 2 * z, 1)):
-        for e in range(start, size, 4):
-            c = _times_binomial(c, abs(e), sign)
-    return HalfLaurentSeries(base, c, order_half)
+    es = [(abs(e), s) for start, s in ((4, -1), (2 - 2 * z, 1), (2 + 2 * z, 1)) for e in range(start, size, 4)]
+    c = _exp_recurrence(_log_weights([f for f in es if f[0]], size))
+    return HalfLaurentSeries(base, [2 * v for v in c] if (0, 1) in es else c, order_half)
+
+
+def _quotient(num, den, n):
+    """The product of the binomials num over that of den, below half-unit n:
+    the denominator's reciprocal has the negated weights."""
+    return _from_weights(_log_weights(num, n)) * _from_weights([-v for v in _log_weights(den, n)])
 
 
 def phi_product(order):
     """Product form of theta3: (-q;q^2)(q^2;q^2) / [(q;q^2)(-q^2;q^2)]."""
-    num = series(pochhammer(2, 4, True), order) * series(pochhammer(4, 4, False), order)
-    den = series(pochhammer(2, 4, False), order) * series(pochhammer(4, 4, True), order)
-    return num * den.inverse()
+    oh = 2 * order
+    return _quotient(_binomials(2, 4, True, oh) + _binomials(4, 4, False, oh),
+                     _binomials(2, 4, False, oh) + _binomials(4, 4, True, oh), oh)
 
 
 def psi_product(order):
     """Product form of psi: (q^2;q^2) / (q;q^2)."""
-    num = series(pochhammer(4, 4, False), order)
-    den = series(pochhammer(2, 4, False), order)
-    return num * den.inverse()
+    oh = 2 * order
+    return _quotient(_binomials(4, 4, False, oh), _binomials(2, 4, False, oh), oh)
 
 
 def f_neg_product(order):
@@ -170,12 +181,17 @@ def f_neg_product(order):
 
 def _fkh_sums(terms, n_max):
     """n times sum_l f_(k_l,h_l)(n) for 0 <= n <= n_max: one sieve adding
-    d sum_l chi_(k_l,h_l)(d) at the multiples of each d."""
+    d sum_l chi_(k_l,h_l)(d) at the multiples of each d, laid over each
+    term's residues d = 0, k+h, k-h (mod 2k), where chi_kh is 1."""
+    w = [0] * (n_max + 1)
+    for k, h in terms:
+        m = 2 * k
+        for r in {0, (k + h) % m, (k - h) % m}:
+            w[r or m :: m] = map(add, w[r or m :: m], range(r or m, n_max + 1, m))
     out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        w = d * sum(chi_kh(k, h, d) for k, h in terms)
-        if w:
-            out[d::d] = map(add, out[d::d], repeat(w))
+    for d, wd in enumerate(w):
+        if wd:
+            out[d::d] = map(add, out[d::d], repeat(wd))
     return out
 
 
@@ -186,8 +202,8 @@ def _exp_coeffs(terms, order):
     m = 2 * order
     sums = _fkh_sums(terms, order - 1)
     w = [0] * m
-    w[2::2] = (2 * v if n % 2 == 0 else -2 * v for n, v in enumerate(sums[1:], 1))
-    return _solve(w, [1] + [0] * (m - 1), [1, *range(1, m)])
+    w[2::2] = (-2 * v if n % 2 == 0 else 2 * v for n, v in enumerate(sums[1:], 1))
+    return _exp_recurrence(w)
 
 
 def general_theta_via_exp(k, h, order):

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qforms
@@ -339,3 +341,22 @@ def test_scan_header_and_float_format():
     assert lines[0] == "x,count,pi_x,R,R_scaled"
     # 12 significant digits on floats
     assert lines[1].split(",")[2] == "3.14159265359"
+
+
+def test_atom_formats_every_cell_type_as_the_isinstance_chain_did():
+    def chain(v):  # the formatting before the exact-type fast paths
+        if isinstance(v, bool):
+            return "pass" if v else "fail"
+        if isinstance(v, Fraction):
+            return f"{v.numerator}/{v.denominator}"
+        if isinstance(v, float):
+            return format(v, ".12g")
+        return str(v)
+
+    cells = [True, False, Fraction(3, 4), Fraction(-5, 6), Fraction(4, 2), -0.0, 0.0, 1e300,
+             float("inf"), float("nan"), 2 / 3, 12, -7, 10**30, np.float64(-0.0), np.float64(1 / 3),
+             np.float32(0.1), np.int64(-9), np.uint8(200), np.bool_(True), "x"]
+    for v in cells:
+        assert cli._atom(v) == chain(v), v
+    assert [cli._atom(v) for v in (True, Fraction(3, 4), -0.0, np.float64(-0.0), 2 / 3)] == \
+        ["pass", "3/4", "-0", "-0", "0.666666666667"]

@@ -326,6 +326,57 @@ def test_sqrt_fdb_matches_recurrence_on_fraction_coefficients():
         assert sqrt_coeff_fdb(f, n) == g.coeff(n), n
 
 
+def _partitions(n):
+    """Partitions of n as multiplicity dicts {part: count}."""
+    def rec(remaining, max_part, current):
+        if remaining == 0:
+            yield dict(current)
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            current[part] = current.get(part, 0) + 1
+            yield from rec(remaining - part, part, current)
+            current[part] -= 1
+            if not current[part]:
+                del current[part]
+
+    yield from rec(n, n, {})
+
+
+def _fdb_by_partitions(coeffs, n):
+    """[q^n] sqrt(f) as Faa di Bruno's sum over the partitions of n, f_0 = 1."""
+    total = Fraction(0)
+    for part in _partitions(n):
+        m = sum(part.values())
+        term = Fraction(math.factorial(m))
+        for j, aj in part.items():
+            term *= Fraction(coeffs[j]) ** aj / math.factorial(aj)
+        h = Fraction(1)  # (-1)^m (-1/2)_m
+        for i in range(m):
+            h *= Fraction(-1, 2) + i
+        total += (h if m % 2 == 0 else -h) * term / math.factorial(m)
+    return total
+
+
+def test_sqrt_fdb_matches_the_partition_sum():
+    rng = random.Random(13)
+    cases = [[1] + [rng.randint(-5, 5) for _ in range(14)] for _ in range(4)]
+    cases += [[1] + [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(14)] for _ in range(3)]
+    cases += [[1] + [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(14)] for _ in range(4)]
+    cases += [[1] + [0] * 14, [1, 0, 0, 2] + [0] * 11, [1] + [0] * 13 + [7]]
+    for c in cases:
+        f = S(0, c, 15)
+        for n in range(15):
+            got = sqrt_coeff_fdb(f, n)
+            assert got == _fdb_by_partitions(c, n), (c, n)
+            assert type(got) in (int, Fraction) and (type(got) is int or got.denominator > 1)
+
+
+def test_sqrt_fdb_matches_recurrence_at_40():
+    rng = random.Random(14)
+    for f in (random_unit(rng, order=41), S(0, [1] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(40)], 41)):
+        assert sqrt_coeff_fdb(f, 40) == f.sqrt().coeff(40)
+
+
 # -- log / exp_neg ----------------------------------------------------------
 
 

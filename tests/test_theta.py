@@ -3,6 +3,7 @@
 import pytest
 
 from qforms import theta
+from qforms.arith import chi_kh
 from qforms.repcount import r2
 from qforms.theta import (alt_general, even_shift_check, f_neg, f_neg_product,
                           general, general_theta_via_exp, phi_product,
@@ -122,6 +123,53 @@ def test_euler_pochhammer_inverse_pair():
     assert p == one
 
 
+def _binomial_loop(factors, n):
+    """Coefficients below half-unit n of the product of (1 + s q^(e/2))^p over
+    (e, s, p) in factors, one pass per binomial: times it, or divided by it."""
+    c = [1] + [0] * (n - 1)
+    for e, s, p in factors:
+        if p > 0:
+            c = c[:e] + [x + s * y for x, y in zip(c[e:], c)]
+        else:
+            for k in range(e, n):
+                c[k] -= s * c[k - e]
+    return c
+
+
+def _poch(a, step, negated, n, p=1):
+    return [(e, 1 if negated else -1, p) for e in range(a, n, step)]
+
+
+def _assert_int_series(got, want, order):
+    assert (got.base, got.order) == (0, 2 * order)
+    assert got.coeffs == tuple(want)
+    assert all(type(c) is int for c in got.coeffs)
+
+
+def test_pochhammer_matches_binomial_loop():
+    # the reference at order 60 truncates to every lower order; a >= 2 * order
+    # is the empty product
+    for a in range(1, 6):
+        for step in range(1, 6):
+            for negated in (False, True):
+                want = _binomial_loop(_poch(a, step, negated, 120), 120)
+                for order in range(1, 61):
+                    got = series(pochhammer(a, step, negated), order)
+                    _assert_int_series(got, want[: 2 * order], order)
+
+
+def test_product_forms_match_binomial_loop():
+    n = 80
+    phi = _binomial_loop(_poch(2, 4, True, n) + _poch(4, 4, False, n)
+                         + _poch(2, 4, False, n, -1) + _poch(4, 4, True, n, -1), n)
+    psi = _binomial_loop(_poch(4, 4, False, n) + _poch(2, 4, False, n, -1), n)
+    fneg = _binomial_loop(_poch(2, 2, False, n), n)
+    for order in range(1, 41):
+        _assert_int_series(phi_product(order), phi[: 2 * order], order)
+        _assert_int_series(psi_product(order), psi[: 2 * order], order)
+        _assert_int_series(f_neg_product(order), fneg[: 2 * order], order)
+
+
 # -- Pochhammer / triple product ------------------------------------------------
 
 
@@ -146,6 +194,19 @@ def test_even_shift_identity():
 
 
 # -- exp transform route ---------------------------------------------------------
+
+
+def test_fkh_sums_match_the_chi_kh_definition():
+    # n sum_l f(n) = sum over d | n of d sum_l chi_kh(d): h < 0, a repeated term,
+    # a term whose residues k + h and k - h coincide
+    for terms in (((3, -2),), ((3, 2), (3, 2)), ((5, -2), (4, 1), (5, -2)), ((4, 0),), ((2, -1), (7, 3))):
+        for n_max in (0, 1, 2048):
+            want = [0] * (n_max + 1)
+            for d in range(1, n_max + 1):
+                w = d * sum(chi_kh(k, h, d) for k, h in terms)
+                for n in range(d, n_max + 1, d):
+                    want[n] += w
+            assert theta._fkh_sums(terms, n_max) == want, (terms, n_max)
 
 
 def test_exp_route_matches_lattice_sum():
