@@ -43,6 +43,11 @@ def _integral(coeffs):
     return d, coeffs if d == 1 else [int(c * d) for c in coeffs]
 
 
+# Measured on the int64-bounded products of the benchmark's series tables:
+# up to _DIRECT coefficient pairs per transform row, np.convolve is cheaper.
+_DIRECT = 128
+
+
 def convolve(f, g, n):
     """First n coefficients of f*g for integer coefficient lists f and g,
     exact at every size (see _middle)."""
@@ -54,15 +59,25 @@ def convolve(f, g, n):
 def _middle(f, g, lo, hi):
     """Coefficients lo <= k < hi of f*g for integer lists f and g, exactly.
 
-    Kronecker substitution (D. Harvey, JSC 2009): each list is packed into
-    one Python int with a w-byte slot per coefficient, one big-int multiply
-    forms the product, and the slots lo..hi-1 are read back.  No
-    coefficient of f*g exceeds |f|_1 |g|_1 in absolute value, so with
-    2^(8w-1) above that bound every slot holds its value plus the offset
-    2^(8w-1) without carrying into the next.  Slots of up to 8 bytes are
-    packed and read through numpy words.  A product with one operand of
-    1-norm below 2^21 and slots wider than 8 bytes would pad that operand
-    to the other's width; it runs through _limbs instead.
+    No coefficient of f*g, nor a partial sum of one, exceeds B = |f|_1 |g|_1.
+    For B < 2^63, _int64 takes int64 arrays through np.convolve, which then
+    cannot overflow, or through a float64 rfft/irfft of cyclic length
+    N >= max(hi, len f + len g - 1 - lo), so no row at or above N aliases
+    into those read.  Its operands are cut into K sign-magnitude b-bit limbs
+    (a small negative coefficient is a small limb), x = sum_t X_t 2^(bt), and
+    limb row s is sum_(t+u=s) X_t*Y_u.  By C. Percival (Math. Comp. 72, 2003,
+    Thm 5.1) each X_t*Y_u errs by less than |X_t|_2 |Y_u|_2 E, with
+    E = (1+e)^(3k) (1+e sqrt 5)^(3k+1) (1+2e)^(3k) - 1, e = 2^-53, here at
+    k = ceil(log2 N) + 2 for numpy's real transform.  K is the least that
+    keeps every row's sum of these below 1/4, so rint restores each row
+    (each is below 1/(4E) < 2^46), and the rows summed with weights 2^(bs)
+    in uint64, where wraparound is defined, give the int64 result.  For
+    B >= 2^63, a product with one operand of 1-norm below 2^21 runs through
+    _limbs, the rest by Kronecker substitution (D. Harvey, JSC 2009): each
+    list is packed into one Python int with a w-byte slot per coefficient,
+    one big-int multiply forms the product, and the slots lo..hi-1 are read
+    back; with 2^(8w-1) > B each slot holds its value plus that offset
+    without carrying into the next.
     """
     square = f is g
     f, g = f[:hi], g[:hi]
@@ -70,23 +85,20 @@ def _middle(f, g, lo, hi):
     bound = fa * ga
     if not bound:
         return [0] * (hi - lo)
-    w = bound.bit_length() // 8 + 1
-    if w > 8 and min(fa, ga) < 1 << 21:
+    if bound < 1 << 63:
+        x = np.array(f, np.int64)
+        return _int64(x, x if square else np.array(g, np.int64), lo, hi).tolist()
+    if min(fa, ga) < 1 << 21:
         return _limbs(f, g, lo, hi) if ga < fa else _limbs(g, f, lo, hi)
+    w = bound.bit_length() // 8 + 1
     half = 1 << (8 * w - 1)
     slot = half.to_bytes(w, "little")
-    if w <= 8:
-        shift = np.int64(-half)  # v - 2^(8w-1) is v + 2^(8w-1) mod 2^(8w)
 
     def pack(c):
-        if w <= 8:  # each slot is the low w bytes of an int64 word
-            words = np.array(c, np.int64) + shift
-            data = words.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :w].tobytes()
-        else:
-            data = bytearray(slot * len(c))  # a zero coefficient is its bare offset
-            for i, v in enumerate(c):
-                if v:
-                    data[i * w : i * w + w] = (v + half).to_bytes(w, "little")
+        data = bytearray(slot * len(c))  # a zero coefficient is its bare offset
+        for i, v in enumerate(c):
+            if v:
+                data[i * w : i * w + w] = (v + half).to_bytes(w, "little")
         return int.from_bytes(data, "little") - int.from_bytes(slot * len(c), "little")
 
     packed = pack(f)
@@ -95,12 +107,59 @@ def _middle(f, g, lo, hi):
     m = hi - lo
     data = ((prod >> 8 * w * lo) & ((1 << 8 * w * m) - 1)).to_bytes(w * m, "little")
     del prod
-    if w <= 8:
-        words = np.zeros((m, 8), np.uint8)
-        words[:, :w] = np.frombuffer(data, np.uint8).reshape(m, w)
-        return (words.view("<i8").ravel() + shift).tolist()
     slots = (data[i : i + w] for i in range(0, w * m, w))
     return [v - half for v in map(int.from_bytes, slots, repeat("little"))]
+
+
+def _rows(a, b, lo, m):
+    """Rows lo <= k < lo + m of a*b for arrays no longer than lo + m, by
+    np.convolve in "valid" mode over the window of the longer one that
+    those rows read."""
+    if len(a) > len(b):
+        a, b = b, a
+    s, span = len(a) - 1 - lo, m + len(a) - 1  # window[j] = b[j - s], 0 <= j < span
+    if s or len(b) != span:
+        window, part = np.zeros(span, b.dtype), b[max(-s, 0) :]
+        window[max(s, 0) : max(s, 0) + len(part)] = part
+        b = window
+    return np.convolve(a, b, "valid")
+
+
+def _percival(n):
+    """E at k = ceil(log2 n) + 2 (see _middle), rounded up: log1p(e) <= e."""
+    k = (n - 1).bit_length() + 2
+    return math.expm1(2.0**-53 * (9 * k + (3 * k + 1) * math.sqrt(5)))
+
+
+def _int64(x, y, lo, hi):
+    """Rows lo <= k < hi of x*y for int64 arrays with |x|_1 |y|_1 < 2^63 (see
+    _middle); numpy.fft is loaded by the first product that needs it."""
+    m, rows = hi - lo, max(hi, len(x) + len(y) - 1 - lo)
+    # N: the least 2^a p >= rows over odd 5-smooth p <= 135, lengths numpy transforms fast
+    n = min(p << (-(-rows // p) - 1).bit_length() for p in (1, 3, 5, 9, 15, 25, 27, 45, 75, 81, 125, 135))
+    if min(len(x), len(y)) * m <= _DIRECT * n:
+        return _rows(x, y, lo, m)
+    err = _percival(n)
+    parts = (x,) if x is y else (x, y)
+    top = int(max(np.abs(c).max() for c in parts)).bit_length()
+    for K in range(1, top + 1):  # the fewest limbs, of b = ceil(top / K) bits, the bound allows
+        # (one limb is the coefficients themselves, exact in float64 when it passes)
+        b = -(-top // K)
+        limbs = [[c.astype(np.float64)] if K == 1 else
+                 [(np.sign(c) * ((np.abs(c) >> b * t) & ((1 << b) - 1))).astype(np.float64) for t in range(K)]
+                 for c in parts]
+        norms = [[math.sqrt(c @ c) for c in cut] for cut in limbs]
+        if max(np.convolve(norms[0], norms[-1])) * err < 0.25:
+            break
+    else:
+        raise ArithmeticError(f"no limb width makes a length-{n} float product exact")
+    spectra = [[np.fft.rfft(c, n) for c in cut] for cut in limbs]
+    X, Y = spectra[0], spectra[-1]
+    out = 0
+    for s in range(min(2 * K - 1, 63 // b + 1)):  # rows with b s >= 64 vanish mod 2^64
+        row = np.fft.irfft(sum(X[t] * Y[s - t] for t in range(max(0, s - K + 1), min(s, K - 1) + 1)), n)
+        out = out + (np.rint(row[lo:hi]).astype(np.int64).view(np.uint64) << np.uint64(b * s))
+    return out.view(np.int64)
 
 
 def _limbs(wide, narrow, lo, hi):
@@ -126,13 +185,7 @@ def _limbs(wide, narrow, lo, hi):
     carry = 0  # into the column, from the ones below
     for t in range(k):
         col = (limbs[:, t] if t < k - 1 else limbs[:, t].view("<i4")).astype(np.float64)
-        a, b = (col, x) if len(col) <= len(x) else (x, col)
-        s, span = len(a) - 1 - lo, m + len(a) - 1  # window[j] = b[j - s], 0 <= j < span
-        if s or len(b) != span:
-            window, part = np.zeros(span), b[max(-s, 0) :]
-            window[max(s, 0) : max(s, 0) + len(part)] = part
-            b = window
-        sums = np.convolve(a, b, "valid").astype(np.int64) + carry
+        sums = _rows(col, x, lo, m).astype(np.int64) + carry
         digits[:, t] = sums.astype("<i8", copy=False).view("<u4")[::2]  # the low 32 bits
         carry = sums >> 32
     digits[:, k] = carry.astype("<i8", copy=False).view("<u4")[::2]  # |carry| < 2^22

@@ -300,6 +300,14 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout == "False\n", proc.stderr
 
 
+def test_numpy_fft_loads_with_the_first_long_product():
+    code = ("import sys, qforms.cli; from qforms.series import convolve; "
+            "convolve([1, 2] * 8, [3, -1] * 8, 31); a = 'numpy.fft' in sys.modules; "
+            "convolve([1, 2] * 2048, [3, -1] * 2048, 8191); print(a, 'numpy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.stdout == "False True\n", proc.stderr
+
+
 def test_help_exits_0():
     assert run_cli("--help").returncode == 0
     for command in ("count", "table", "theta", "identity", "circle"):

@@ -94,13 +94,23 @@ def test_count_form_matches_oracle():
     (lambda: count_diagonal((1, 2), 16384), FormSpec.diagonal((1, 2))),
     (lambda: count_diagonal((3, 1, 2), 4096), FormSpec.diagonal((3, 1, 2))),
     (lambda: exp_method_count(((3, -2), (3, -2)), 8192), FormSpec(((3, -2), (3, -2)))),
-], ids=["diagonal(1,2)", "diagonal(3,1,2)", "exp(3,-2)^2"])
+    (lambda: count_diagonal((1, 2), 10**5), FormSpec.diagonal((1, 2))),
+    (lambda: exp_method_count(((3, -2), (3, -2)), 10**5), FormSpec(((3, -2), (3, -2)))),
+], ids=["diagonal(1,2)", "diagonal(3,1,2)", "exp(3,-2)^2", "diagonal(1,2)@1e5", "exp(3,-2)^2@1e5"])
 def test_transforms_equal_count_form(table, spec):
     # the paper's square-root and exp transforms against the plain product,
     # at sizes the brute-force oracle does not reach
     t = table()
     assert t.spec == spec
     assert t.counts == count_form(spec, t.n_range.stop - 1).counts
+
+
+def test_count_form_of_three_squares_equals_r3_at_scale():
+    # the product route against the class-number closed form
+    t = count_form(FormSpec.diagonal((1, 1, 1)), 10**5)
+    rng = random.Random(20261019)
+    for n in [0, 1, 10**5 - 1, 10**5] + [rng.randint(2, 10**5) for _ in range(296)]:
+        assert t.count(n) == r3(n), n
 
 
 # -- two squares ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qforms import series, theta
@@ -173,9 +174,13 @@ def _with_norm(rng, total, k):
 
 
 @pytest.mark.parametrize("bits", range(7, 64, 8))
-def test_convolve_at_every_word_slot_width(bits):
-    # |f|_1 |g|_1 = 2^bits - 1 takes w = (bits + 1) / 8 bytes and 2^bits one
-    # more: w = 1..8 through the numpy words, and 2^63 the first 9-byte slot
+def test_convolve_at_every_word_slot_width(monkeypatch, bits):
+    # |f|_1 |g|_1 = 2^bits - 1 would take w = (bits + 1) / 8 bytes and 2^bits
+    # one more: every bound up to 2^63 - 1 runs over int64 arrays, and 2^63,
+    # the first 9-byte slot, through the byte packer
+    routes = []
+    int64 = series._int64
+    monkeypatch.setattr(series, "_int64", lambda *args: routes.append(args) or int64(*args))
     rng = random.Random(bits)
     for bound in (2**bits - 1, 2**bits):
         pairs = [([bound], [1]), ([0, -bound, 0], [0, 0, -1]), ([1], [0, bound])]
@@ -185,9 +190,157 @@ def test_convolve_at_every_word_slot_width(bits):
         for f, g in pairs:
             for n in (1, 3, len(f) + len(g) - 1, len(f) + len(g) + 2):
                 want = _schoolbook(f, g, n)
+                routes.clear()
                 assert convolve(f, g, n) == convolve(g, f, n) == want, (f, g, n)
                 assert [series._middle(f, g, lo, n) for lo in range(n)] == [want[lo:] for lo in range(n)]
+            assert bool(routes) == (bound < 2**63), (f, g)  # untruncated at the last n
             assert convolve(f, f, len(f)) == _schoolbook(f, f, len(f))
+
+
+def _spy_transforms(monkeypatch):
+    """The length of every forward transform _int64 takes, in order."""
+    lengths = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
+    return lengths
+
+
+def _alternating_run(j0, j1):
+    """sum of (-1)^j over j0 <= j <= j1."""
+    return ((-1) ** j0 + (-1) ** j1) // 2
+
+
+@pytest.mark.parametrize("j", range(7, 17))
+def test_fft_exact_for_all_max_inputs_at_the_widest_limbs(monkeypatch, j):
+    # every coefficient at +-M maximises the limb norms for M's bit length;
+    # lengths 2^(j-1) and 2^(j-1) + 1 make L = N = 2^j, and M = 2^b - 1 for
+    # the widest b that the bound lets one limb take, then one bit more (two)
+    monkeypatch.setattr(series, "_DIRECT", 0)
+    lengths = _spy_transforms(monkeypatch)
+    la, lb = 2 ** (j - 1), 2 ** (j - 1) + 1
+    L = la + lb - 1
+    b = max(b for b in range(1, 63) if (2**b - 1) ** 2 * math.sqrt(la * lb) * series._percival(L) < 0.25)
+    for M, K in ((2**b - 1, 1), (2 ** (b + 1) - 1, 2)):
+        assert la * lb * M * M < 2**63
+        for alt_f, alt_g in ((False, False), (True, True), (False, True)):
+            f = [-M if alt_f and i % 2 else M for i in range(la)]
+            g = [-M if alt_g and i % 2 else M for i in range(lb)]
+            want = []
+            for r in range(L):
+                j0, j1 = max(0, r - la + 1), min(r, lb - 1)  # the g index of each pair in row r
+                if not alt_g:
+                    terms = j1 - j0 + 1
+                elif alt_f:
+                    terms = (-1) ** r * (j1 - j0 + 1)
+                else:
+                    terms = _alternating_run(j0, j1)
+                want.append(M * M * terms)
+            if j == 7:
+                assert want == _schoolbook(f, g, L)
+            lengths.clear()
+            assert convolve(f, g, L) == want, (j, M, alt_f, alt_g)
+            assert lengths == [L] * 2 * K, (j, M)
+
+
+def test_int64_products_on_both_sides_of_the_crossover(monkeypatch):
+    lengths = _spy_transforms(monkeypatch)
+    rng = random.Random(26)
+    routes = set()
+    for k in range(96, 220, 9):
+        f = [rng.randint(-99, 99) for _ in range(k)]
+        g = [rng.randint(-99, 99) for _ in range(k + 1)]
+        for lo, hi in ((0, 2 * k), (k // 2, 2 * k - 3)):
+            lengths.clear()
+            assert series._middle(f, g, lo, hi) == _schoolbook(f, g, hi)[lo:], (k, lo, hi)
+            routes.add(bool(lengths))
+    assert routes == {False, True}
+
+
+def test_fft_windows_at_the_aliasing_edge(monkeypatch):
+    # N = L - lo exactly: one row less and row lo would alias row L - 1, which
+    # is nonzero; and windows running past the last row
+    monkeypatch.setattr(series, "_DIRECT", 0)
+    rng = random.Random(21)
+    f = [rng.randint(-9, 9) for _ in range(600)] + [7]
+    g = [rng.randint(-9, 9) for _ in range(700)] + [-5]
+    L = len(f) + len(g) - 1
+    full = _schoolbook(f, g, L + 40)
+    lengths = _spy_transforms(monkeypatch)
+    for lo, hi, n in ((L - 1024, 1024, 1024), (L - 1024, 700, 1024), (L - 1080, 1080, 1080),
+                      (L - 1080, 1000, 1080), (5, L + 37, None), (L - 3, L + 40, None)):
+        lengths.clear()
+        assert series._middle(f, g, lo, hi) == full[lo:hi], (lo, hi)
+        assert lengths and (n is None or lengths == [n, n]), (lo, hi, lengths)
+
+
+def test_fft_squares_take_one_transform_per_limb(monkeypatch):
+    lengths = _spy_transforms(monkeypatch)
+    rng = random.Random(22)
+    f = [rng.randint(-50, 50) for _ in range(900)]
+    for lo, hi in ((0, 900), (0, 1799), (300, 1500), (899, 1799)):
+        lengths.clear()
+        assert series._middle(f, f, lo, hi) == _schoolbook(f, f, hi)[lo:], (lo, hi)
+        assert len(lengths) == 1, (lo, hi)
+    wide = [rng.randint(-(2**21), 2**21) for _ in range(900)]  # two limbs
+    lengths.clear()
+    assert convolve(wide, wide, 1799) == _schoolbook(wide, wide, 1799)
+    assert len(lengths) == 2
+
+
+def test_int64_products_of_one_element_and_zero_operands():
+    rng = random.Random(23)
+    long = [rng.randint(-(2**20), 2**20) for _ in range(3000)]
+    for f, g, n in (([5], long, 3000), (long, [-(2**40)], 3005), ([0] * 3000, long, 3000),
+                    (long, [0] * 40 + [3], 3000), ([0] * 10 + [1], long, 20), ([1], [1], 4)):
+        assert convolve(f, g, n) == convolve(g, f, n) == _schoolbook(f, g, n), (len(f), len(g), n)
+
+
+def test_fft_small_negative_coefficients_next_to_a_large_one(monkeypatch):
+    # sign-magnitude limbs: in two's complement -3 would be a 2^b - 3 limb, on
+    # which a bound taken from the coefficients' maxima is wrong
+    lengths = _spy_transforms(monkeypatch)
+    rng = random.Random(24)
+    for big in (2**40 + 1, -(2**40), 2**40 - 1, 2**50 + 2**21 - 1):
+        f = [rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(700)]
+        g = [rng.choice((-3, -1, 1, 2)) for _ in range(700)]
+        f[350] = big
+        lengths.clear()
+        assert convolve(f, g, 1399) == _schoolbook(f, g, 1399), big
+        assert len(lengths) == 4, big  # two limbs each
+
+
+def test_fft_recombines_many_limbs_and_refuses_when_no_width_fits(monkeypatch):
+    # a looser error factor forces narrow limbs, down to one bit: rows with
+    # b s >= 64 are skipped and the rest wrap in uint64
+    monkeypatch.setattr(series, "_DIRECT", 0)
+    lengths = _spy_transforms(monkeypatch)
+    f = [2**60 - 1, -(2**59), 2**58 + 3, -5, 7, -(2**57), 1, 0, -1, 2, 0, -3]
+    g = [1, -1, 0, 1]  # |f|_1 |g|_1 < 2^63
+    want = _schoolbook(f, g, len(f) + 3)
+    for err, limbs in ((2.0**-40, 2), (2.0**-20, 4), (2.0**-8, 12), (2.0**-6, 30), (2.0**-5, 60)):
+        monkeypatch.setattr(series, "_percival", lambda n, err=err: err)
+        lengths.clear()
+        assert convolve(f, g, len(f) + 3) == want, err
+        assert len(lengths) == 2 * limbs, err
+        assert series._middle(f, g, 4, 9) == want[4:9], err
+    monkeypatch.setattr(series, "_percival", lambda n: 2.0**-4)  # one-bit limbs fail too
+    with pytest.raises(ArithmeticError, match="no limb width"):
+        convolve(f, g, len(f) + 3)
+
+
+def test_int64_products_take_the_transform_only_when_long(monkeypatch):
+    lengths = _spy_transforms(monkeypatch)
+    direct = []
+    rows = series._rows
+    monkeypatch.setattr(series, "_rows", lambda *args: direct.append(len(args[0])) or rows(*args))
+    theta3 = [1] + [2 if math.isqrt(k) ** 2 == k else 0 for k in range(1, 4096)]
+    psi = [1 if math.isqrt(8 * k + 1) ** 2 == 8 * k + 1 else 0 for k in range(4096)]
+    want = np.convolve(np.array(theta3), np.array(psi))[:4096].tolist()
+    assert convolve(theta3, psi, 4096) == want
+    assert lengths and not direct
+    lengths.clear()
+    assert convolve(theta3[:64], psi[:64], 64) == want[:64]
+    assert direct and not lengths
 
 
 @pytest.mark.parametrize("bits", [31, 32, 33, 64, 65, 1700])
