@@ -6,33 +6,61 @@ Everything here is exact: integer or Fraction valued, no floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
 
 
+def _odd_primes(limit):
+    """The odd primes below limit, ascending, by a sieve of Eratosthenes on a
+    bytearray."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return tuple(itertools.compress(range(3, limit), sieve[3:]))
+
+
+_ODD_PRIMES = _odd_primes(1 << 10)  # 171 primes, 3..1021
+
+
 def _factor(n):
     """[(p, k), ...] with n = prod p^k over the primes p | n, ascending, for
-    n >= 1: the power of 2 from the low bits, then trial division by odd p
-    while p^2 <= the unfactored part."""
+    n >= 1: the power of 2 from the low bits, then trial division while p^2
+    <= the unfactored part, by the odd primes below 2^10 and past them by
+    every odd p."""
     fs = []
     k = (n & -n).bit_length() - 1
     if k:
         fs.append((2, k))
         n >>= k
-    p = 3
-    while p * p <= n:
+    for p in _ODD_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
-            k = 1
-            n //= p
-            while n % p == 0:
-                n //= p
-                k += 1
-            fs.append((p, k))
-        p += 2
+            n = _divide_out(n, p, fs)
+    else:
+        p = _ODD_PRIMES[-1] + 2
+        while p * p <= n:
+            if n % p == 0:
+                n = _divide_out(n, p, fs)
+            p += 2
     if n > 1:
         fs.append((n, 1))
     return fs
+
+
+def _divide_out(n, p, fs):
+    """Append (p, k) to fs for p^k || n, p | n, and return n / p^k."""
+    k = 1
+    n //= p
+    while n % p == 0:
+        n //= p
+        k += 1
+    fs.append((p, k))
+    return n
 
 
 def divisors(n):
@@ -224,13 +252,15 @@ def reduced_forms(D):
 
 def class_number(D):
     """h(D): number of primitive reduced forms of discriminant D < 0, counted
-    on reduced_forms' b-major walk without listing them."""
+    on reduced_forms' b-major walk without listing them; where ac is odd, a
+    steps over the odd values only."""
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
     h = 0
     for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
         ac = (b * b - D) // 4
-        for a in range(max(b, 1), math.isqrt(ac) + 1):
+        odd = ac & 1  # an odd ac has no even divisor a
+        for a in range(max(b, 1) | odd, math.isqrt(ac) + 1, 1 + odd):
             if not ac % a:
                 c = ac // a
                 if math.gcd(a, b, c) == 1:

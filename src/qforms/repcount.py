@@ -354,6 +354,10 @@ def quintic_count(n, variant="amended"):
     oracle; 'as-printed' keeps the leading minus sign and excludes the
     argument 0, reproducing the printed formula's defects (-1 at n = 64,
     0 at n = 32).
+
+    The sum runs over the divisors d <= (16 n)^(1/5), found by n % d: past
+    that bound 5 d^4 + 20 n/d < (5 d^2 / 2)^2, so the outer radicand is
+    negative.
     """
     if n < 1:
         raise ValueError("quintic_count requires n >= 1")
@@ -361,14 +365,16 @@ def quintic_count(n, variant="amended"):
         raise ValueError("variant must be 'amended' or 'as-printed'")
     first = 0
     second = 0
-    for d in divisors(n):
+    for d in range(1, arith._iroot(16 * n, 5) + 1):
+        if n % d:
+            continue
         if d**5 == 16 * n:
             first += 1
             continue
         inner = 5 * d**4 + 20 * (n // d)
         s1 = math.isqrt(inner)
         outer = -25 * d * d + 10 * s1
-        if outer < 0:  # so is every later divisor's, and its d^5 > 16 n
+        if outer < 0:  # so is every later divisor's
             break
         s2 = math.isqrt(outer)
         if s1 * s1 != inner or s2 * s2 != outer:

@@ -14,6 +14,48 @@ from qforms.arith import (chi0, chi_kh, class_number, divisor_sum, divisors,
 from qforms.repcount import r2
 
 
+# -- factorization --------------------------------------------------------------
+
+
+def _factor_by_smallest_prime_factors(n_max):
+    """[(p, k), ...] for every n < n_max, read off a smallest-prime-factor sieve."""
+    spf = list(range(n_max))
+    for p in range(2, math.isqrt(n_max - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n_max, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for n in range(1, n_max):
+        fs = []
+        while n > 1:
+            p, k = spf[n], 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            fs.append((p, k))
+        yield fs
+
+
+def test_factor_matches_a_smallest_prime_factor_sieve():
+    for n, fs in enumerate(_factor_by_smallest_prime_factors(1 << 16), 1):
+        assert arith._factor(n) == fs, n
+
+
+def test_factor_past_the_edge_of_the_prime_table():
+    odd_primes = tuple(p for p in range(3, 1 << 10, 2)
+                       if all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
+    assert arith._ODD_PRIMES == odd_primes and odd_primes[-1] == 1021
+    # 1031 and 1033 are the first primes past the table, found by the odd-p walk
+    M = 2**31 - 1
+    cases = {1021**2: [(1021, 2)], 1021 * 1031: [(1021, 1), (1031, 1)],
+             1031**2: [(1031, 2)], 1031 * 1033: [(1031, 1), (1033, 1)],
+             M: [(M, 1)], 3 * M: [(3, 1), (M, 1)],
+             10007 * 10009: [(10007, 1), (10009, 1)],
+             2**5 * 1021 * 1033**3: [(2, 5), (1021, 1), (1033, 3)]}
+    for n, fs in cases.items():
+        assert arith._factor(n) == fs, n
+
+
 # -- divisors and divisor sums -----------------------------------------------
 
 
@@ -253,6 +295,16 @@ def test_class_number_counts_the_reduced_forms():
     for D in range(-10**4, 0):
         if D % 4 in (0, 1):
             assert class_number(D) == len(reduced_forms(D)), D
+
+
+def test_class_number_counts_the_reduced_forms_at_the_benchmark_range():
+    # b = 0 takes a over odd values only where ac = -D/4 is odd, D = 4 (mod 8);
+    # for odd D, b = 1 does where ac = (1 - D)/4 is odd, D = 5 (mod 8)
+    Ds = random.Random(21).sample([D for D in range(-4 * 10**4, -10**4 + 1)
+                                   if D % 4 in (0, 1)], 500)
+    assert {D % 8 for D in Ds} == {0, 1, 4, 5}
+    for D in Ds:
+        assert class_number(D) == len(reduced_forms(D)), D
 
 
 def test_class_number_one_discriminants():

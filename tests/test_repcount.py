@@ -330,6 +330,45 @@ def test_quintic_amended_matches_nonneg_oracle():
         assert quintic_count(n) == oracle_odd_power_pairs(5, n, "nonneg"), n
 
 
+def _quintic_over_every_divisor(n):
+    """quintic_count(n) for both variants, (amended, as-printed), by its sum
+    over every divisor of n, ascending, with no bound on d: the reference
+    for the loop that stops at (16 n)^(1/5)."""
+    first = positive = zero = 0
+    for d in arith.divisors(n):
+        if d**5 == 16 * n:
+            first += 1
+            continue
+        inner = 5 * d**4 + 20 * (n // d)
+        s1 = math.isqrt(inner)
+        outer = -25 * d * d + 10 * s1
+        if outer < 0:
+            break
+        s2 = math.isqrt(outer)
+        if s1 * s1 != inner or s2 * s2 != outer or (5 * d - s2) % 10:
+            continue
+        arg = (5 * d - s2) // 10
+        positive += 2 * (arg >= 1)
+        zero += 2 * (arg == 0)
+    return first + positive + zero, -first + positive
+
+
+def test_quintic_matches_the_sum_over_every_divisor():
+    # n = 2 k^5 has d = 2k with d^5 = 16 n, the last divisor the sum reads
+    edges = [2 * k**5 + e for k in range(1, 61) for e in (-1, 0, 1)]
+    for n in [*range(1, 10**5 + 1), *edges]:
+        got = quintic_count(n, "amended"), quintic_count(n, "as-printed")
+        assert got == _quintic_over_every_divisor(n), n
+
+
+def test_quintic_amended_matches_nonneg_oracle_at_large_n():
+    sums = {x**5 + y**5 for x in range(26) for y in range(26)} - {0}
+    rng = random.Random(5)
+    large = [10**12 + 39, 999983 * 1000003, 2**61 - 1]
+    for n in [*sorted(s for s in sums if s <= 10**7), *(rng.randint(1, 10**9) for _ in range(1000)), *large]:
+        assert quintic_count(n) == oracle_odd_power_pairs(5, n, "nonneg"), n
+
+
 def test_oracle_odd_power_pairs_domains():
     assert oracle_odd_power_pairs(3, 9, "integer") == 2
     assert oracle_odd_power_pairs(5, 31, "integer") == 2
