@@ -176,13 +176,15 @@ def _bucket(n):
 @lru_cache(maxsize=64)
 def _diagonal_counts(coeffs, n_max):
     """Counts of sum A_k x_k^2 = n for n <= n_max: the square root of the
-    product of the stretched two-square series sum r2(m) q^(A_k m)."""
+    product of the stretched two-square series sum r2(m) q^(A m), one per
+    distinct coefficient A, raised to A's multiplicity."""
     r2s = r2_table(n_max).tolist()
     f = None
-    for a in coeffs:
+    for a, k in Counter(coeffs).items():
         stretched = [0] * (n_max + 1)
         stretched[::a] = r2s[: n_max // a + 1]
-        f = stretched if f is None else convolve(f, stretched, n_max + 1)
+        term = power(stretched, k, n_max + 1)
+        f = term if f is None else convolve(f, term, n_max + 1)
     counts = _sqrt_unit(f)
     if any(type(c) is not int for c in counts):
         raise ArithmeticError("square-root transform produced a non-integer count")

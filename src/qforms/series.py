@@ -44,8 +44,12 @@ def _integral(coeffs):
 
 
 # Measured on the int64-bounded products of the benchmark's series tables:
-# up to _DIRECT coefficient pairs per transform row, np.convolve is cheaper.
+# up to _DIRECT coefficient pairs per transform row, np.convolve is cheaper;
+# below _ARRAY_FIRST coefficients in all, two Python passes over the lists
+# (exact norms, then an int64 conversion) cost less than one np.array and
+# its float norm estimate.
 _DIRECT = 128
+_ARRAY_FIRST = 768
 
 
 def convolve(f, g, n):
@@ -78,15 +82,32 @@ def _middle(f, g, lo, hi):
     one big-int multiply forms the product, and the slots lo..hi-1 are read
     back; with 2^(8w-1) > B each slot holds its value plus that offset
     without carrying into the next.
+
+    From _ARRAY_FIRST coefficients in all, each list is converted to an
+    array at most once (_screened): when both come out int64 and _norm1's
+    estimate of B is below 2^62, B < 2^63 and _int64 runs at once.
+    Otherwise, and for shorter lists, the exact norms decide.  A coefficient
+    that is not an int (a Fraction or a float, which an int64 array would
+    truncate) is refused.
     """
     square = f is g
     f, g = f[:hi], g[:hi]
-    fa, ga = sum(map(abs, f)), sum(map(abs, g))
+    x = y = None
+    if len(f) + len(g) >= _ARRAY_FIRST:
+        x = _screened(f)
+        y = x if square or x is None else _screened(g)
+        estimate = _norm1(x) * _norm1(y)  # nan, failing the test, for 0 * inf
+        if estimate < 2.0**62:
+            return _int64(x, y, lo, hi).tolist() if estimate else [0] * (hi - lo)
+    fa = sum(map(abs, f))
+    ga = fa if square else sum(map(abs, g))
+    if type(fa) is not int or type(ga) is not int:
+        raise TypeError("exact products take int coefficients only")
     bound = fa * ga
     if not bound:
         return [0] * (hi - lo)
     if bound < 1 << 63:
-        x = np.array(f, np.int64)
+        x = np.array(f, np.int64) if x is None else x.astype(np.int64, copy=False)
         return _int64(x, x if square else np.array(g, np.int64), lo, hi).tolist()
     if min(fa, ga) < 1 << 21:
         return _limbs(f, g, lo, hi) if ga < fa else _limbs(g, f, lo, hi)
@@ -109,6 +130,26 @@ def _middle(f, g, lo, hi):
     del prod
     slots = (data[i : i + w] for i in range(0, w * m, w))
     return [v - half for v in map(int.from_bytes, slots, repeat("little"))]
+
+
+def _screened(f):
+    """f as an array, or None when f is empty or its last entry is not an int
+    of magnitude below 2^62: then no product with f passes the int64 bound,
+    and a wide or rational list costs no conversion."""
+    if not len(f):
+        return None
+    v = f[-1]
+    return np.array(f) if type(v) is int and -(1 << 62) < v < 1 << 62 else None
+
+
+def _norm1(x):
+    """|x|_1 in float64 for an int64 array, inf for None or any other array:
+    abs is taken after the conversion, so -2^63 counts as 2^63.  Rounding
+    each term and the pairwise sum errs by a relative n 2^-53 at most, so an
+    estimate of |x|_1 |y|_1 below 2^62 puts the exact product below 2^63."""
+    if x is None or x.dtype != np.int64:
+        return math.inf
+    return np.add.reduce(np.abs(x, dtype=np.float64))
 
 
 def _rows(a, b, lo, m):
@@ -445,11 +486,28 @@ def _relaxed(acc, leaf, cross):
     acc[k] holds out[k]'s right-hand side less the contributions already
     added.  Each node [lo, hi) solves its left half, subtracts that half's
     contribution to the right half, cross(lo, mid, hi) -- one product of
-    known blocks -- and recurses on the right half; leaf(lo, hi) is the
-    plain loop over the contributions of out[lo:k].  Only solved outputs
-    meet the inputs, so coefficients stay their own size and the cost is
-    O(M(n) log n).  The ceiling midpoint keeps every node [lo, hi) with
-    lo > 0 no longer than lo, which the self-convolution needs.
+    known blocks -- and recurses on the right half; leaf(lo, hi) solves
+    out[lo:hi] from acc[lo:hi].  Only solved outputs meet the inputs, so
+    coefficients stay their own size and the cost is O(M(n) log n).  The
+    ceiling midpoint keeps every node [lo, hi) with lo > 0 no longer than
+    lo, which the self-convolution needs.
+
+    A leaf [lo, hi) with lo > 0 is a triangular system in its own L = hi - lo
+    unknowns y = out[lo:hi], with right-hand side a = acc[lo:hi]; as
+    L <= lo, out[:L] is known there.  Each recurrence solves it as one or
+    two products with a series B below _LEAF (_Inverse, or out[:L] itself
+    for an inverse): y = B a / d0 for _solve's inverse and log,
+    y = g_L^-1 a / 2 for _sqrt_unit, y = P_L ((Q_L a)_r / d[lo + r]) for
+    _exp_recurrence (derived at _solve).  It does so when every entry is an
+    int and each product's |.|_1 |.|_1 stays below 2^62, so that
+    np.convolve is exact in int64 (_convolve64, _Inverse.times), and runs the
+    plain loop over the contributions of out[lo:k] otherwise and at the
+    first leaf.  Both give the system's one exact solution.  B costs about
+    one leaf of the loop, so it is only built when two or more leaves
+    follow the first (n > 2 _LEAF; an inverse's B is free, from n > _LEAF).
+    The first leaf whose block fails ends the block products for the rest
+    of the recurrence: outputs and blocks widen as k grows, and each
+    failed attempt costs the norms it took.
     """
 
     def solve(lo, hi):
@@ -462,6 +520,69 @@ def _relaxed(acc, leaf, cross):
         solve(mid, hi)
 
     solve(0, len(acc))
+
+
+def _int_norm1(c):
+    """|c|_1 for a list of ints, None when some entry is not an int (a
+    Fraction or float entry makes the sum one)."""
+    v = sum(map(abs, c))
+    return v if type(v) is int else None
+
+
+def _convolve64(f, g, m):
+    """The first m coefficients of f*g as an int64 array, for lists of ints
+    with |f|_1 |g|_1 < 2^62, so that np.convolve cannot overflow (and
+    _middle would take _int64 too); else None.  The norms are taken in
+    Python: on a leaf's few coefficients that is cheaper than any numpy
+    call, and a block that fails costs no conversion."""
+    nf, ng = _int_norm1(f), _int_norm1(g)
+    if nf is None or ng is None or max(nf, 1) * max(ng, 1) >= 1 << 62:  # each list fits int64
+        return None
+    return np.convolve(np.array(f, np.int64), np.array(g, np.int64))[:m]
+
+
+def _quotient(z, div):
+    """z / div for an int64 array z and div a scalar or an array as long as
+    z, when no entry leaves a remainder; else None."""
+    q, r = np.divmod(z, div)
+    return None if r.any() else q
+
+
+class _Inverse:
+    """The first terms of B = c0 / (c0 + sum_(j>=1) c_j t^j), grown on demand:
+    B_k = -sum_(1<=j<=k) c_j B_(k-j) / c0 reads c[1:k+1] only when it is asked
+    for, so c may be the output list a recurrence is still filling.  No term
+    past the first that is not an int is taken."""
+
+    def __init__(self, c, c0):
+        self.c, self.c0 = c, c0
+        self.b, self.norms = [1], [1]  # the terms and the 1-norms of their prefixes
+        self.ints = True
+
+    def prefix(self, L, na):
+        """B[:L] when |B[:L]|_1 na < 2^62, else None.  B costs about as much
+        as one leaf of the loop, so from L/8 terms on it is grown only while
+        the norm so far, raised to the power L/k as if B grew geometrically,
+        keeps that bound: a B that fails only in its last terms would be
+        thrown away."""
+        b, norms, c = self.b, self.norms, self.c
+        while len(b) < L and self.ints:
+            k = len(b)
+            if norms[-1] * na >= 1 << 62 or (8 * k >= L and norms[-1] ** (L / k) * na >= 2.0**62):
+                return None
+            v = _div(-sum(map(mul, c[k:0:-1], b)), self.c0)
+            self.ints = type(v) is int
+            if self.ints:
+                b.append(v)
+                norms.append(norms[-1] + abs(v))
+        return b[:L] if len(b) >= L and norms[L - 1] * na < 1 << 62 else None
+
+    def times(self, a):
+        """(B a)[:L] for L = len(a) as an int64 array, or None when a or
+        B[:L] is not ints or |B[:L]|_1 |a|_1 reaches 2^62."""
+        na = _int_norm1(a)
+        b = None if na is None else self.prefix(len(a), max(na, 1))  # B fits int64 even for a = 0
+        return None if b is None else np.convolve(np.array(b, np.int64), np.array(a, np.int64))[: len(a)]
 
 
 def _product(f, g, lo, hi):
@@ -494,6 +615,22 @@ def _solve(c, rhs, d):
     through the divide-and-conquer driver -- unless c is sparse, as a theta
     series is: when the loop over the nonzero c[j] alone takes no more pairs
     than the driver's leaves (n * _LEAF / 2), that loop runs instead.
+
+    Past the first leaf, with C = sum_(j>=1) c_j t^j, a leaf's block y with
+    right-hand side a satisfies d[lo + r] y_r + (C y)_r = a_r for r < L:
+    - constant d = d0 (inverse, log): (d0 + C) y = a mod t^L, so
+      y = B a / d0 with B = d0 / (d0 + C);
+    - d[k] = alpha k for k >= 1 and rhs = d[0] e_0 (_exp_recurrence, with
+      alpha = 1 on the full lattice and s on a stride-s sub-lattice): out
+      is the P with P_0 = 1 and alpha t P' = W P, W = -C.  The block
+      satisfies alpha t y' + alpha lo y - W y = a, and with Q = 1/P,
+      alpha t (Q y)' = Q (alpha t y') - W Q y = Q a - alpha lo Q y, so
+      alpha (lo + r) (Q y)_r = (Q a)_r.  Hence y = P_L ((Q_L a)_r / d[lo + r])
+      with P_L = out[:L] and Q_L its inverse; the division is exact whenever
+      P is integral.
+    For an inverse, rhs = d0 e_0, out is B itself and no B is built.  Other
+    d and rhs, as a caller's own, and d outside int64 (the common
+    denominator of Fraction inputs scales it), keep the loop at every leaf.
     """
     n = len(rhs)
     s = _stride(c, rhs) or n
@@ -518,12 +655,39 @@ def _solve(c, rhs, d):
         return out
     crev = c[::-1]
     acc = list(rhs)
+    block = None
+    if n > _LEAF and d.count(d[0]) == n and abs(d[0]) < 1 << 62:  # d0 divides an int64 array
+        if rhs[0] == d[0] and not any(rhs[1:]):  # an inverse: out is B itself
+            def block(lo, hi):
+                z = _convolve64(out[: hi - lo], acc[lo:hi], hi - lo)
+                return None if z is None else _quotient(z, d[0])
+        elif n > 2 * _LEAF:
+            inv = _Inverse(c, d[0])
+
+            def block(lo, hi):
+                z = inv.times(acc[lo:hi])
+                return None if z is None else _quotient(z, d[0])
+    elif (n > 2 * _LEAF and d[1] and abs(d[-1]) < 1 << 62 and d[1:] == list(range(d[1], n * d[1], d[1]))
+          and rhs[0] == d[0] and not any(rhs[1:])):
+        inv = _Inverse(out, 1)
+
+        def block(lo, hi):
+            z = inv.times(acc[lo:hi])
+            z = None if z is None else _quotient(z, np.array(d[lo:hi]))
+            return None if z is None else _convolve64(out[: hi - lo], z.tolist(), hi - lo)
 
     def dot(k, i0, i1):
         """sum of c[k-i] out[i] over i0 <= i < i1."""
         return sum(map(mul, crev[n - 1 - k + i0 : n - 1 - k + i1], out[i0:i1]))
 
     def leaf(lo, hi):
+        nonlocal block
+        y = block(lo, hi) if lo and block else None
+        if y is not None:
+            out[lo:hi] = y.tolist()
+            return
+        if lo:
+            block = None
         for k in range(lo, hi):
             out[k] = _div(acc[k] - dot(k, lo, k), d[k])
 
@@ -541,17 +705,30 @@ def _sqrt_unit(rel):
     actually populated, through the divide-and-conquer driver.  Its cross
     term at lo = 0 is the block's square; above, a pair (a, t-a) with a in
     the block has t-a < lo, so it is twice the block times g[1:hi-lo].
+
+    So past the first leaf a block y with right-hand side a satisfies
+    2 g_L y = a mod t^L, g_L = g[:L] being solved already (L <= lo):
+    y = g_L^-1 a / 2.
     """
     n = len(rel)
     s = _stride(rel) or n
     acc = list(rel[::s])
     g = [1] + [0] * (len(acc) - 1)
+    inv = _Inverse(g, 1) if len(acc) > 2 * _LEAF else None
 
     def pairs(t, a0, a1):
         """sum of g[a] g[t-a] over a0 <= a < a1."""
         return sum(map(mul, g[a0:a1], g[t - a0 : t - a1 : -1]))
 
     def leaf(lo, hi):
+        nonlocal inv
+        z = inv.times(acc[lo:hi]) if lo and inv else None
+        y = None if z is None else _quotient(z, 2)
+        if y is not None:
+            g[lo:hi] = y.tolist()
+            return
+        if lo:
+            inv = None
         for t in range(max(lo, 1), hi):
             g[t] = _div(acc[t] - (2 * pairs(t, lo, t) if lo else pairs(t, 1, t)), 2)
 
@@ -570,7 +747,9 @@ def _sqrt_unit(rel):
 def _exp_recurrence(w):
     """P[0:n], n = len(w), with P_0 = 1 and k P_k = sum_(1<=j<=k) w_j P_(k-j):
     the series whose log-derivative t P'/P is sum_j w_j t^j, that is
-    exp(sum_j w_j t^j / j).  The one exp kernel, through _solve."""
+    exp(sum_j w_j t^j / j).  The one exp kernel, through _solve, whose
+    leaves past the first solve y = P_L ((P_L^-1 a)_r / d[lo + r]) (see
+    _solve for the derivation)."""
     n = len(w)
     return _solve([-v for v in w], [1] + [0] * (n - 1), [1, *range(1, n)])
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qforms import series, theta
+from qforms import repcount, series, theta
 from qforms.series import HalfLaurentSeries, convolve, exp_neg, power, sqrt_coeff_fdb
 
 S = HalfLaurentSeries
@@ -385,6 +385,60 @@ def test_middle_rows_match_schoolbook():
         lo = rng.randrange(hi)
         assert series._middle(f, g, lo, hi) == _schoolbook(f, g, hi)[lo:], (f, g, lo, hi)
         assert series._middle(f, f, lo, hi) == _schoolbook(f, f, hi)[lo:], (f, lo, hi)
+
+
+def test_int64_route_is_kept_where_the_estimate_cannot_settle_it(monkeypatch):
+    # bounds in [2^62, 2^63) fail the float estimate but the exact norms still
+    # send them to _int64; 2^63 and above never go there, and -2^63 counts
+    # as 2^63 (its abs is taken in float64, where int64 would wrap)
+    routes = []
+    int64 = series._int64
+    monkeypatch.setattr(series, "_int64", lambda *args: routes.append(args) or int64(*args))
+    cases = [([3 << 30], [(1 << 31) + 1], True),  # 3 (2^61 + 2^30)
+             ([1 << 31, -(1 << 31)], [1 << 30, 1, -1], True),  # 2^62 + 2^33
+             ([(1 << 63) - 1], [1], True),  # rounds to 2^63 in float64
+             ([(1 << 61) - 1, 3, -(1 << 61)], [0, -1], True),  # 2^62 + 2
+             ([1 << 32], [1 << 31], False),  # exactly 2^63
+             ([-(1 << 63)], [1], False),
+             ([-(1 << 63), 1, -(1 << 63)], [1, -1], False),
+             ([1 << 63, -1], [1, 1], False)]  # numpy reads this list as float64
+    pad = [0] * (series._ARRAY_FIRST // 2)  # long lists take the float estimate first
+    cases += [(f + pad, pad + g, takes) for f, g, takes in cases]
+    cases += [([-(1 << 63)] + pad + [1], [1, 1], False), ([1] + pad + [-(1 << 63)], [1] + pad, False)]
+    for f, g, takes in cases:
+        n = len(f) + len(g) - 1
+        want = _schoolbook(f, g, n)
+        routes.clear()
+        assert convolve(f, g, n) == convolve(g, f, n) == want, f
+        assert bool(routes) == takes, f
+        assert series._middle(f, g, 1, n + 2) == [*want[1:], 0, 0], f
+    assert convolve([-(1 << 63), 5], [-(1 << 63), 5], 3) == _schoolbook([-(1 << 63), 5], [-(1 << 63), 5], 3)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 0.5, 1.0, 2.0**70])
+def test_convolve_refuses_coefficients_that_are_not_ints(bad):
+    # an int64 array would truncate them: [1/2, 1] * [1, 1] once gave [0, 1]
+    pad = [1] * series._ARRAY_FIRST
+    for f, g in (([bad, 1], [1, 1]), ([1, 1], [1, bad]), ([bad, 2**70], [3]), ([bad], [bad]),
+                 (pad + [bad], pad), ([bad] + pad, pad), (pad, [1, bad, 1] + pad)):
+        with pytest.raises(TypeError, match="int coefficients"):
+            convolve(f, g, len(f) + len(g))
+    with pytest.raises(TypeError):
+        power([1, bad], 2, 3)
+
+
+def test_fraction_products_of_series_are_exact():
+    # HalfLaurentSeries products scale Fraction coefficients to integers first
+    rng = random.Random(17)
+    for n in (1, 5, 64, 300):
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+        g = [Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 3)) for _ in range(n)]
+        f[0] = g[0] = Fraction(1, 3)
+        for a, b in ((f, g), (f, f), (g, [rng.randint(-3, 3) for _ in range(n)])):
+            got = S(0, a, n) * S(0, b, n)
+            want = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+            assert got.coeffs == tuple(series._norm(v) for v in want), n
+        assert S(0, f, n).square() == S(0, f, n) * S(0, list(f), n)
 
 
 def test_convolve_random_signed_and_wide():
@@ -786,3 +840,137 @@ def test_sqrt_of_2k_plus_1_slots_matches_loop():
     f = _dense(rng, 1025, top=2)
     sq = convolve(f, f, 1025)
     assert series._sqrt_unit(sq) == _loop_sqrt(sq) == f
+
+
+# -- block leaves: past the first leaf, int64 products with a series taken once ----
+
+
+def _binomials(rng, n, count, top):
+    """Coefficients below n of a product of count binomials 1 + s t^e, e < top:
+    the product, its inverse and its log-derivative all stay small, so the
+    recurrences' leaves pass the int64 bound."""
+    c = [1] + [0] * (n - 1)
+    for _ in range(count):
+        e, s = rng.randrange(1, top), rng.choice((-1, 1))
+        c = [v + s * (c[k - e] if k >= e else 0) for k, v in enumerate(c)]
+    return c
+
+
+def _spy_block_products(monkeypatch):
+    """For every block product a leaf tries, with B (_Inverse.times) or with
+    out[:L] (_convolve64), whether it ran in int64."""
+    outcomes = []
+
+    def spy(product):
+        def run(*args):
+            z = product(*args)
+            outcomes.append(z is not None)
+            return z
+        return run
+
+    monkeypatch.setattr(series, "_convolve64", spy(series._convolve64))
+    monkeypatch.setattr(series._Inverse, "times", spy(series._Inverse.times))
+    return outcomes
+
+
+@pytest.mark.parametrize("n", (63, 64, 65, 127, 128, 129, 192, 193, 257))
+def test_block_leaves_match_the_loops(monkeypatch, n):
+    # small (every leaf in int64), sparse, wide (2^40: the loop) and Fraction
+    # inputs, on the full lattice and on stride-2 (and stride-3) sub-lattices;
+    # square roots of squares, and of the inputs themselves (Fraction
+    # outputs) up to 129; the exp recurrence on the log-derivative weights
+    # of the small product
+    outcomes = _spy_block_products(monkeypatch)
+    rng = random.Random(300 + n)
+    small = _binomials(rng, n, 16, 12)
+    sparse = _binomials(rng, n, 3, 60)
+    wide = [1] + [rng.choice((-1, 1)) * rng.randint(2**40, 2**41) for _ in range(n - 1)]
+    frac = list(small)
+    frac[n // 3] += Fraction(1, 2)  # 1/frac is integral below n // 3 only
+    for c in (small, sparse, wide, frac):
+        for s in (1, 2, 3) if c is small else (1, 2):
+            cs = [0] * n
+            cs[::s] = c[: len(cs[::s])]
+            for args in _three_recurrences(cs)[:2]:  # inverse and log
+                assert series._solve(*args) == _loop_solve(*args), (n, s)
+            if n <= 129:
+                assert series._sqrt_unit(cs) == _loop_sqrt(cs), (n, s)
+            if c is not frac:
+                assert series._sqrt_unit(convolve(cs, cs, n)) == cs, (n, s)
+            if c is small:
+                u = _loop_solve(cs, [k * v for k, v in enumerate(cs)], [1] * n)  # t c'/c
+                assert series._exp_recurrence(u) == cs, (n, s)
+                assert series._exp_recurrence([-v for v in u]) == _loop_solve(cs, [1] + [0] * (n - 1), [1] * n)
+    if n > 2 * series._LEAF:
+        assert any(outcomes)
+    if n <= series._LEAF:
+        assert not outcomes
+
+
+def test_block_leaves_with_wide_blocks_fall_back_leaf_by_leaf(monkeypatch):
+    # partitions into parts below 40 grow until |B|_1 |a|_1 passes 2^62: the
+    # early leaves take products, and from the first that fails the loop runs
+    outcomes = _spy_block_products(monkeypatch)
+    n = 1100
+    c = [1] + [0] * (n - 1)
+    for e in range(1, 40):
+        c = [v - (c[k - e] if k >= e else 0) for k, v in enumerate(c)]
+    inv = series._solve(c, [1] + [0] * (n - 1), [1] * n)
+    assert inv == _loop_solve(c, [1] + [0] * (n - 1), [1] * n)
+    assert True in outcomes and False in outcomes
+    assert abs(inv[-1]).bit_length() > 62
+
+
+def test_block_leaves_with_a_denominator_past_int64():
+    # c is 1 below t^64 and has 2^-70 denominators above: the scaled d0 is
+    # 2^70, while out[:64] and the leaves' right-hand sides are small ints
+    rng = random.Random(43)
+    n = 200
+    c = [1] + [0] * 63 + [Fraction(rng.randint(1, 9), 2**70) for _ in range(n - 64)]
+    w = [0] * 64 + [Fraction(rng.randint(1, 9), 2**70) for _ in range(n - 64)]
+    for args in (*_three_recurrences(c)[:2], ([0] + [-v for v in w[1:]], [1] + [0] * (n - 1), [1, *range(1, n)])):
+        assert series._solve(*args) == _loop_solve(*args)
+
+
+def test_zero_blocks_after_wide_outputs():
+    # outputs of 70 bits in the first leaf, [0, 50), and zero after: the
+    # later leaves have a = 0, where a zero 1-norm must not admit 70-bit
+    # entries to int64
+    rng = random.Random(44)
+    n = 200
+    p = [1] + [rng.choice((-1, 1)) * rng.randint(2**69, 2**70) for _ in range(49)] + [0] * (n - 50)
+    c = _loop_solve(p, [1] + [0] * (n - 1), [1] * n)  # 1/p
+    assert series._solve(c, [1] + [0] * (n - 1), [1] * n) == p
+    assert series._sqrt_unit(convolve(p, p, n)) == p
+
+
+def test_exp_shaped_divisors_with_another_rhs_keep_the_loop(monkeypatch):
+    # d = [1, 1, 2, ...] takes the exp formula only with rhs = d[0] e_0: P_0 = 1
+    # is the series it inverts.  rhs[0] = 0 would make P_0 = 0, and any other
+    # rhs breaks alpha t P' = W P
+    outcomes = _spy_block_products(monkeypatch)
+    rng = random.Random(41)
+    n = 300
+    p = _binomials(rng, n, 8, 12)
+    w = _loop_solve(p, [k * v for k, v in enumerate(p)], [1] * n)
+    c, d = [0] + [-v for v in w[1:]], [1, *range(1, n)]
+    assert series._solve(c, [1] + [0] * (n - 1), d) == p
+    assert outcomes and all(outcomes)
+    outcomes.clear()
+    for rhs in ([0] + w[1:], [1, 1] + [0] * (n - 2), [2] + [0] * (n - 1), [0, 3] + [0] * (n - 2)):
+        assert series._solve(c, rhs, d) == _loop_solve(c, rhs, d)
+    one, d2 = [1] + [0] * (n - 1), [1, 2, *range(2, n)]  # d[1] = 2 breaks d[k] = alpha k
+    assert series._solve(c, one, d2) == _loop_solve(c, one, d2)
+    assert not outcomes
+
+
+def test_transform_leaves_take_block_products_and_dense_inverses_do_not(monkeypatch):
+    outcomes = _spy_block_products(monkeypatch)
+    repcount._diagonal_counts.cache_clear()
+    counts = repcount.count_diagonal((1, 2), 2048).counts
+    assert counts[:6] == (1, 2, 2, 4, 2, 0)  # x^2 + 2y^2 = 0..5
+    assert len(outcomes) >= 2048 // series._LEAF and all(outcomes)
+    outcomes.clear()
+    f = _dense(random.Random(42), 1024)
+    assert convolve(f, series._solve(f, [1] + [0] * 1023, [1] * 1024), 1024) == [1] + [0] * 1023
+    assert not any(outcomes)
