@@ -8,12 +8,13 @@ conditionally convergent; truncated partial sums are averaged over a
 window of consecutive cutoffs (TruncationSpec.smooth_window) to tame the
 persistent oscillation of plain truncation.
 
-Three float passes are made of independent tasks and spread over the CPUs
-the process may run on (_spread): the 20 grid points of scan_R's G sups,
-two row halves of every n-block of the P/Q sums, and two halves of
-hardy_sum's J_1 array.  Each task does the same operations in the same
-order at any CPU count, so every output is bit-identical to a one-CPU run
-and depends only on the inputs, never on scheduling.
+Four passes are made of independent tasks and spread over the CPUs the
+process may run on (_spread): the blocks of 2^16 rows of scan_columns, the
+20 grid points of scan_R's G sups, two row halves of every n-block of the
+P/Q sums, and two halves of hardy_sum's J_1 array.  Each task does the same
+operations in the same order at any CPU count, so every output is
+bit-identical to a one-CPU run and depends only on the inputs, never on
+scheduling.
 """
 
 from __future__ import annotations
@@ -100,8 +101,12 @@ def _r2_segment(m0, m1):
     j0 = _isqrt(np.maximum(m0 - ii, 0))
     j0 += j0 * j0 < m0 - ii  # least j with i^2 + j^2 >= m0
     lens = np.maximum(_isqrt(m1 - 1 - ii) + 1 - j0, 0)
-    j = np.arange(lens.sum(), dtype=np.int64) + np.repeat(j0 - (np.cumsum(lens) - lens), lens)
-    r2 = 4 * np.bincount(np.repeat(ii - m0, lens) + j * j, minlength=m1 - m0)
+    j = np.arange(lens.sum(), dtype=np.int64)
+    j += np.repeat(j0 - (np.cumsum(lens) - lens), lens)
+    j *= j
+    j += np.repeat(ii - m0, lens)  # i^2 + j^2 - m0, in place: scan blocks run this on pool workers
+    r2 = np.bincount(j, minlength=m1 - m0)
+    r2 *= 4
     if m0 == 0 < m1:
         r2[0] = 1
     return r2
@@ -153,9 +158,14 @@ def _spread(tasks, slots, own=None):
     A running task holds one slot from a queue of free slots: buffers the
     calling thread allocated, _threads(len(tasks)) sets of them, so that
     workers write only through out= and allocate no arrays (arrays a worker
-    allocates stay in its own malloc arena and raise the peak RSS).  Tasks
-    call no public function of this module: a tracer that wraps those
-    keeps one span stack, which a worker's call would corrupt."""
+    allocates stay in its own malloc arena and raise the peak RSS).  A scan
+    block still allocates the temporaries of its r2 sieve segments, about
+    1 MB per segment at x near 10^6, and the smaller ones of its start
+    count: with two allowed CPUs, scan_columns(10^6, 1) peaks at 75.8-76.4
+    MB of RSS, 40 MB of it the columns, against 76.8-77.0 MB when its
+    blocks ran on the calling thread alone (2-vCPU x86-64, numpy 2.4).  Tasks call no public function of this
+    module: a tracer that wraps those keeps one span stack, which a
+    worker's call would corrupt."""
     import queue  # imported here, as the pool is made: not at qforms' start-up
 
     free = queue.SimpleQueue()
@@ -348,17 +358,24 @@ def R_expansion(x, N, spec=TruncationSpec()):
         raise ValueError("x must exceed 1")
     if N < 0:
         raise ValueError("N must be nonnegative")
+    try:  # (coefficient, denominator) of each P_s and Q_s term, before any sum runs
+        p_terms = [((-1) ** s * float(c1(2 * s)),
+                    2 ** (4 * s) * math.pi ** (2 * s + 1) * x ** (s - 0.25))
+                   for s in range(1, N + 1)]
+        q_terms = [((-1) ** s * float(c1(2 * s + 1)),
+                    2 ** (4 * s + 2) * math.pi ** (2 * s + 2) * x ** (s + 0.25))
+                   for s in range(0, N + 1)]
+    except OverflowError:
+        raise ValueError(f"the order-{N} expansion at x = {x} has terms past the float range") from None
     a, b = math.pi / 4, 2 * math.pi * math.sqrt(x)
     sums = _pq_sums([("P", s + 0.75) for s in range(N + 1)]
                     + [("Q", s + 1.25) for s in range(N + 1)], a, b, spec)
     P, Q = sums[:N + 1], sums[N + 1:]
     total = x ** 0.25 / math.pi * P[0]
-    for s in range(1, N + 1):
-        total += ((-1) ** s * float(c1(2 * s)) * P[s]
-                  / (2 ** (4 * s) * math.pi ** (2 * s + 1) * x ** (s - 0.25)))
-    for s in range(0, N + 1):
-        total -= ((-1) ** s * float(c1(2 * s + 1)) * Q[s]
-                  / (2 ** (4 * s + 2) * math.pi ** (2 * s + 2) * x ** (s + 0.25)))
+    for (coef, den), P_s in zip(p_terms, P[1:]):
+        total += coef * P_s / den
+    for (coef, den), Q_s in zip(q_terms, Q):
+        total -= coef * Q_s / den
     return 4.0 * total
 
 
@@ -415,6 +432,10 @@ def fresnel(z):
     """(F_C(z), F_S(z)) with the integral normalization cos/sin(pi t^2/2)."""
     if not z >= 0:
         raise ValueError("z must be nonnegative")
+    if math.isinf(float(z) * float(z)):
+        # scipy returns nan once z^2 overflows; there |F(z) - 1/2| < 1/(pi z)
+        # is far below half an ulp of 1/2, as at z = inf
+        return 0.5, 0.5
     from scipy.special import fresnel as fresnel_sc  # imported here, as in hardy_sum
 
     s, c = fresnel_sc(z)
@@ -520,60 +541,99 @@ def _scan_rows(x_max, step):
     return int(math.floor(x_max / step))
 
 
-def _scan_blocks(rows, step):
-    """(x, count, pi_x, R, R_scaled) for rows 1..rows of a scan, in blocks of
-    2^16 rows.  The count at x is the lattice count at floor(x): the r2 sieve
-    runs in segments of at most 2^16 over the values the block reads, and
-    the cumulative count is carried from segment to segment."""
-    total, pos = 0, 0  # total = #{(i, j) : i^2 + j^2 < pos}
-    for k0 in range(1, rows + 1, _BLOCK):
-        x = np.arange(k0, min(k0 + _BLOCK, rows + 1), dtype=np.float64) * step
-        fl = np.floor(x).astype(np.int64)
-        counts = np.empty(len(x), dtype=np.int64)
-        a = int(np.searchsorted(fl, pos))
-        counts[:a] = total  # rows at floor(x) = pos - 1, reached by an earlier block
-        end = int(fl[-1]) + 1
-        for m0 in range(pos, end, _BLOCK):
-            pos = min(m0 + _BLOCK, end)
-            cum = np.cumsum(_r2_segment(m0, pos))
-            cum += total
-            b = int(np.searchsorted(fl, pos))
-            counts[a:b] = cum[fl[a:b] - m0]
-            total, a = int(cum[-1]), b
-        pi_x = math.pi * x
-        R = counts - pi_x
-        yield x, counts, pi_x, R, R / x ** 0.25
+def _count_below(m):
+    """#{(i, j) in Z^2 : i^2 + j^2 < m}, exactly, for 0 <= m <= 2^52: one for
+    the origin plus four times the sum of isqrt(m - 1 - i^2) over 0 <= i <=
+    sqrt(m - 1), with i taken in chunks of 2^16 so memory stays bounded."""
+    if m <= 0:
+        return 0
+    top, total = m - 1, 1
+    stop = math.isqrt(top) + 1
+    for i0 in range(0, stop, _BLOCK):
+        i = np.arange(i0, min(i0 + _BLOCK, stop), dtype=np.int64)
+        total += 4 * int(_isqrt(top - i * i).sum())
+    return total
+
+
+_SCAN_TYPES = (np.float64, np.int64, np.float64, np.float64, np.float64)  # x, count, pi_x, R, R_scaled
+
+
+def _scan_slots(slots):
+    """`slots` sets of the buffers _scan_block works in: a read-only ramp 0,
+    1, ..., 2^16 - 1 that every set shares, and three int64 arrays of 2^16."""
+    ramp = np.arange(_BLOCK, dtype=np.float64)
+    return [(ramp, *(np.empty(_BLOCK, dtype=np.int64) for _ in range(3))) for _ in range(slots)]
+
+
+def _scan_block(k0, step, cols, bufs):
+    """Rows k0, k0 + 1, ... of a scan, row k at x = k step, into the column
+    slices cols = (x, count, pi_x, R, R_scaled), one row per entry, through
+    out= into them and the buffers bufs of _scan_slots.  The count at x is
+    the lattice count at floor(x).  A block stands alone: it starts from the
+    exact count below its first floor(x) (_count_below), and sieves r2 in
+    segments of at most 2^16 from there to its last floor(x)."""
+    x, counts, pi_x, R, R_scaled = cols
+    ramp, fl, idx, cum = bufs
+    ramp, fl, idx = ramp[:len(x)], fl[:len(x)], idx[:len(x)]
+    np.add(ramp, k0, out=x)  # k0, k0 + 1, ..., exact: the floats hold integers below 2^53
+    np.multiply(x, step, out=x)
+    fl[...] = np.floor(x, out=pi_x)  # pi_x holds floor(x) until it is filled
+    pos, end, a = int(fl[0]), int(fl[-1]) + 1, 0
+    total = _count_below(pos)  # total = #{(i, j) : i^2 + j^2 < pos}
+    for m0 in range(pos, end, _BLOCK):
+        pos = min(m0 + _BLOCK, end)
+        seg = np.cumsum(_r2_segment(m0, pos), out=cum[:pos - m0])
+        seg += total
+        b = int(np.searchsorted(fl, pos))
+        # the indices lie in the segment; "clip", as the default mode buffers out=
+        np.take(seg, np.subtract(fl[a:b], m0, out=idx[a:b]), out=counts[a:b], mode="clip")
+        total, a = int(seg[-1]), b
+    np.multiply(math.pi, x, out=pi_x)
+    np.subtract(counts, pi_x, out=R)
+    np.divide(R, np.power(x, 0.25, out=R_scaled), out=R_scaled)
 
 
 def scan_columns(x_max, step):
     """Column arrays (x, count, pi_x, R, R_scaled) at x = step, 2 step, ...
-    <= x_max, filled block by block from a segmented r2 sieve."""
+    <= x_max.  Every block of 2^16 rows is a task of _spread that fills its
+    slices of the columns (_scan_block); blocks do not depend on each other,
+    so the columns are the same at any CPU count."""
     rows = _scan_rows(x_max, step)
     try:
-        cols = tuple(np.empty(rows, dtype=t)
-                     for t in (np.float64, np.int64, np.float64, np.float64, np.float64))
+        cols = tuple(np.empty(rows, dtype=t) for t in _SCAN_TYPES)
     except (MemoryError, ValueError):
         raise ValueError(f"a scan of {rows:.3g} rows needs {40 * rows:.3g} bytes of columns, "
                          "more than can be allocated") from None
-    for lo, block in zip(range(0, rows, _BLOCK), _scan_blocks(rows, step)):
-        for col, part in zip(cols, block):
-            col[lo:lo + len(part)] = part
+
+    def block(lo):
+        def task(bufs):
+            _scan_block(lo + 1, step, [col[lo:lo + _BLOCK] for col in cols], bufs)
+        return task
+
+    blocks = [block(lo) for lo in range(0, rows, _BLOCK)]
+    _spread(blocks, _scan_slots(_threads(len(blocks))))
     return cols
 
 
 def scan_R(x_max, step=1.0, delta=0.1, collect_rows=True):
     """Scan of the circle-problem error: rows per step plus a summary with
     sup |R(x)|/x^(1/4) and the running sups of |G| (at h = 0 and h =
-    delta) over M <= 2^17 on a 20-point x grid.  The scan runs in blocks,
-    so without rows its memory does not grow with x_max.  The grid points
-    are tasks of _spread, while the calling thread runs the scan."""
+    delta) over M <= 2^17 on a 20-point x grid.  The grid points are tasks
+    of _spread.  Meanwhile the calling thread runs the scan block by block
+    (_scan_block) into one set of block-sized buffers, so without rows its
+    memory does not grow with x_max; the rows are scan_columns' rows."""
     if not 0 <= delta < 0.25:
         raise ValueError("delta must satisfy 0 <= delta < 1/4")
     n_rows = _scan_rows(x_max, step)
 
     def scan():
+        (bufs,) = _scan_slots(1)
+        block = [np.empty(_BLOCK, dtype=t) for t in _SCAN_TYPES]
         sup_r, rows = 0.0, []
-        for x, counts, pi_x, R, R_scaled in _scan_blocks(n_rows, step):
+        for lo in range(0, n_rows, _BLOCK):
+            cols = [col[:n_rows - lo] for col in block]
+            _scan_block(lo + 1, step, cols, bufs)
+            x, counts, pi_x, R, R_scaled = cols
             sup_r = max(sup_r, float(np.max(np.abs(R_scaled))))
             if collect_rows:
                 rows += [ScanRow(float(a), int(b), float(c), float(d), float(e))

@@ -5,6 +5,7 @@ import faulthandler
 import inspect
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -24,7 +25,8 @@ from qforms.circle import (G, R_expansion, S_sum, ScanRow, TruncationSpec, besse
                            euler_maclaurin_f4_bound, euler_maclaurin_residual,
                            fresnel, fresnel_closed_sum, g_running_sup,
                            hardy_sum, lattice_count, oscillatory_sum,
-                           r2_table, scan_R, scan_columns, _r2_segment, _window_mean)
+                           r2_table, scan_R, scan_columns, _count_below, _r2_segment,
+                           _window_mean)
 from qforms.repcount import r2
 
 
@@ -104,6 +106,18 @@ def test_r2_segment_refuses_what_its_float_roots_cannot_hold(m0, m1):
 @pytest.mark.parametrize("n", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
 def test_r2_table_across_segment_edges(n):
     assert r2_table(n).tolist() == list(_r2_upto(n + 1))
+
+
+# squares, two-square values and their neighbours, near 10^3 and 10^5 (so
+# near 10^6 and 10^10 for m), where the sum over i runs to two chunks of 2^16
+_COUNT_BELOW_M = sorted({0, 1, 2} | {v + d for k in (999, 1000, 1001, 99_999, 100_000, 100_001)
+                                     for v in (k * k, 2 * k * k) for d in (-1, 0, 1)}
+                        | {random.Random(23).randrange(10**10) for _ in range(4)})
+
+
+@pytest.mark.parametrize("m", _COUNT_BELOW_M)
+def test_count_below_is_the_lattice_count_below_m(m):
+    assert _count_below(m) == (lattice_count(m - 1) if m else 0)
 
 
 # -- c1 coefficients -------------------------------------------------------------
@@ -291,6 +305,23 @@ def test_R_expansion_requires_x_above_one():
             R_expansion(x, 0)
 
 
+@pytest.mark.parametrize("x,N", [(1e250, 1), (1e200, 2), (2.0, 200)])
+def test_R_expansion_past_the_float_range_is_refused_before_any_sum(x, N, monkeypatch):
+    # x^(N + 1/4) or a c1 coefficient overflows a float
+    def no_sums(*args):
+        raise AssertionError("a P/Q sum ran")
+
+    monkeypatch.setattr(qforms.circle, "_pq_sums", no_sums)
+    with pytest.raises(ValueError, match=f"order-{N} expansion at x = .* past the float range"):
+        R_expansion(x, N)
+
+
+def test_R_expansion_below_the_float_range_is_unchanged():
+    tiny = SPECS[1]
+    for x, N in ((1e200, 1), (1e100, 2), (1e300, 0)):
+        assert R_expansion(x, N, tiny) == _R_expansion_reference(x, N, tiny)
+
+
 def test_R_expansion_close_to_exact_error():
     exact = lattice_count(2.5) - math.pi * 2.5
     assert abs(R_expansion(2.5, 0) - exact) < 0.5
@@ -404,6 +435,21 @@ def test_fresnel_rejects_negative():
         with pytest.raises(ValueError, match="z must be nonnegative"):
             fresnel(z)
     assert fresnel(math.inf) == (0.5, 0.5)
+
+
+def test_fresnel_past_the_overflow_of_z_squared_is_one_half():
+    # scipy returns nan once z^2 overflows, where |F(z) - 1/2| < 1/(pi z) is
+    # far below half an ulp of 1/2
+    last = math.sqrt(sys.float_info.max)
+    while math.isinf(last * last):
+        last = math.nextafter(last, 0.0)
+    first = math.nextafter(last, math.inf)
+    assert math.isinf(first * first)
+    s, c = scipy.special.fresnel(last)
+    assert (float(c), float(s)) == fresnel(last) == (0.5, 0.5)
+    assert all(map(math.isnan, scipy.special.fresnel(first)))
+    for z in (first, 1e155, 1e300, sys.float_info.max):
+        assert fresnel(z) == (0.5, 0.5), z
 
 
 def test_fresnel_closed_sum_envelope():
@@ -534,21 +580,42 @@ def test_scan_R_rows_are_the_columns_across_blocks(step):
     assert scan_R(x_max, step, collect_rows=False).summary == res.summary
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_scan_R_memory_does_not_grow_with_x_max():
-    # the dense sieve held r2, its cumsum and eight full columns: 640 MB at 10^7.
-    # The child reads its peak RSS as VmHWM: Linux carries ru_maxrss across
-    # exec, so that would report this test process's own peak.
-    code = ("from qforms.circle import scan_R; "
-            "s = scan_R(10**7, 1.0, collect_rows=False).summary['sup_R_scaled']; "
-            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]; "
-            "print(repr(s), hwm.split()[1])")
+def _child_peak(code):
+    """Run code in a child interpreter that imports this qforms; return its
+    printed words, then its peak RSS in kB.  The child reads it as VmHWM:
+    Linux carries ru_maxrss across exec, so that would report this test
+    process's own peak."""
+    code += "; print([l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0].split()[1])"
     src = str(Path(qforms.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env, timeout=120).stdout.split()
-    assert float(out[0]) == 8.038895505529606
-    assert int(out[1]) < 150 * 1024  # kB
+    return out[:-1], int(out[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_scan_R_memory_does_not_grow_with_x_max():
+    # the dense sieve held r2, its cumsum and eight full columns: 640 MB at 10^7
+    (s,), peak = _child_peak("from qforms.circle import scan_R; "
+                             "print(repr(scan_R(10**7, 1.0, collect_rows=False).summary['sup_R_scaled']))")
+    assert float(s) == 8.038895505529606
+    assert peak < 150 * 1024  # kB
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_scan_columns_blocks_on_two_cpus_allocate_no_columns():
+    # A pool worker's arrays stay in its own malloc arena. The blocks write
+    # their columns and buffers through out= and allocate only their r2
+    # sieve temporaries: the child peaked at 75.8-76.4 MB, 40 MB of it the
+    # columns, against 76.8-77.0 MB when the blocks ran on the calling
+    # thread alone (2-vCPU x86-64, numpy 2.4). The bound is that peak plus
+    # 1 MB; blocks that allocated their three int64 buffers and five float
+    # columns peaked at 76.5-80.3 MB.
+    (count,), peak = _child_peak("import os; os.sched_getaffinity = lambda pid: {0, 1}; "
+                                 "from qforms.circle import scan_columns; "
+                                 "print(scan_columns(10**6, 1.0)[1][-1])")
+    assert int(count) == lattice_count(10**6)
+    assert peak < 78 * 1024  # kB
 
 
 def test_dense_scan_sup_regression():
@@ -575,6 +642,11 @@ CPU_CASES = {
     "oscillatory_sum": lambda: [oscillatory_sum(which, 1.25, 0.7, 3.1, spec)
                                 for spec in SPECS + ODD_ROWS for which in "PQ"],
     "hardy_sum": lambda: [hardy_sum(13.37), hardy_sum(2.5, TruncationSpec(100001, 10, 64))],
+    # four blocks, the last of five rows; and a step whose floors repeat and
+    # skip values across the block edges
+    "scan_columns[1.0]": lambda: [c.tobytes() for c in scan_columns(3 * (1 << 16) + 5.5, 1.0)],
+    "scan_columns[0.37]": lambda: [c.tobytes() for c in scan_columns((3 * (1 << 16) + 5.5) * 0.37, 0.37)],
+    "scan_columns[7.77]": lambda: [c.tobytes() for c in scan_columns(((1 << 16) + 1.5) * 7.77, 7.77)],
 }
 
 
@@ -613,5 +685,7 @@ def test_workers_call_no_public_circle_function(monkeypatch):
     qforms.circle.R_expansion(25.3, 1, SPECS[0])
     qforms.circle.S_sum(25.3, SPECS[0])
     qforms.circle.hardy_sum(13.37)
-    assert {"scan_R", "R_expansion", "S_sum", "hardy_sum", "r2_table"} <= {name for name, _ in calls}
+    qforms.circle.scan_columns(3 * (1 << 16) + 0.5, 1.0)
+    assert ({"scan_R", "scan_columns", "R_expansion", "S_sum", "hardy_sum", "r2_table"}
+            <= {name for name, _ in calls})
     assert {ident for _, ident in calls} == {threading.get_ident()}

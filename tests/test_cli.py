@@ -222,6 +222,18 @@ def test_series_cutoff_that_cannot_be_allocated_exits_2(args, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
 
 
+@pytest.mark.parametrize("x,N", [("1e250", "1"), ("1e200", "2")])
+def test_expansion_past_the_float_range_exits_2(x, N):
+    proc = run_cli("circle", "rexp", "--x", x, "--N", N, timeout=30)
+    message = f"the order-{N} expansion at x = {float(x)} has terms past the float range"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
+
+
+def test_fresnel_past_the_overflow_of_z_squared_prints_one_half():
+    proc = run_cli("circle", "fresnel", "--z", "1e300", timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "1e+300,0.5,0.5\n")
+
+
 def test_import_and_a_count_start_no_thread():
     code = ("import threading, qforms, qforms.cli; "
             "qforms.cli.run(['count', 'cubic', '--n', '1..5']); "
