@@ -198,6 +198,7 @@ def _spread(tasks, slots, own=None):
         wait(futures)  # no task outlives the call, nor writes to its buffers after it
 
 
+@lru_cache(maxsize=256)  # bessel_j1's asymptotic sums and R_expansion ask for the same few m
 def c1(m):
     """Exact rational (-1)^m (-1/2)_m (3/2)_m / m!."""
     if m < 0:

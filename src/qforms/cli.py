@@ -424,6 +424,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"qforms: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("qforms: the request is too large: its tables cannot be allocated", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

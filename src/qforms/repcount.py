@@ -9,6 +9,7 @@ Closed forms that mix conventions say so in their docstrings.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -259,27 +260,22 @@ def count_poly_composed(poly, A, B, C, D, E, n):
 # -- power sums ----------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _indicator_values(kind, n_max):
-    if kind[0] == "square":
-        kind = ("power", 2)
-    tag = kind[0]
+    """The values hit by kind up to n_max, ascending, and the same values as
+    a frozenset.  kind is ('power', nu) or ('poly', coeffs) with coeffs a
+    tuple; count_power_sum reads these at n_max = _bucket(n), so the values
+    listed for one n at most double (at nu = 1, every integer up to the
+    bucket)."""
+    tag, arg = kind
     vals = []
-    if tag == "power":
-        nu = kind[1]
-        m = 0
-        while m**nu <= n_max:
-            vals.append(m**nu)
-            m += 1
-    elif tag == "poly":
-        coeffs = kind[1]
-        m = 0
-        while True:
-            v = arith._poly_eval(coeffs, m)
-            if v > n_max:
-                break
-            vals.append(v)
-            m += 1
-    return vals
+    m = 0
+    while True:
+        v = m**arg if tag == "power" else arith._poly_eval(arg, m)
+        if v > n_max:
+            return tuple(vals), frozenset(vals)
+        vals.append(v)
+        m += 1
 
 
 def count_power_sum(kind, n):
@@ -287,9 +283,15 @@ def count_power_sum(kind, n):
     if n < 0:
         raise ValueError("count_power_sum requires n >= 0")
     arith.indicator(kind, 0)  # refuses nu < 1, coefficients < 1 and unknown tags before enumerating
-    vals = _indicator_values(kind, n)
-    hits = set(vals)
-    return sum(1 for v in vals if n - v in hits)
+    tag = kind[0]
+    if tag == "square":
+        key = ("power", 2)
+    elif tag == "power":
+        key = ("power", kind[1])
+    else:
+        key = ("poly", tuple(kind[1]))  # a list of coefficients is not hashable
+    vals, hits = _indicator_values(key, _bucket(n))
+    return sum(1 for v in vals[:bisect_right(vals, n)] if n - v in hits)
 
 
 # -- odd power forms: cubic and quintic ----------------------------------

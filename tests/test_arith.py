@@ -56,6 +56,54 @@ def test_factor_past_the_edge_of_the_prime_table():
         assert arith._factor(n) == fs, n
 
 
+def _factor_by_trial_division(n):
+    """[(p, k), ...] for n >= 1 by trial division by 2 and every odd p."""
+    fs = []
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            fs.append((p, k))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        fs.append((n, 1))
+    return fs
+
+
+def test_factor_matches_the_sieve_on_both_sides_of_the_least_factor_table():
+    assert arith._SIEVED == 1 << 17
+    for n, fs in enumerate(_factor_by_smallest_prime_factors(1 << 18), 1):
+        assert arith._factor(n) == fs, n
+
+
+def test_factor_at_the_edges_of_the_least_factor_table():
+    assert arith._factor(2**17 - 1) == [(131071, 1)]  # a prime just below the table's end
+    assert arith._factor(359**2) == [(359, 2)]  # the largest p with p^2 below 2^17
+    assert arith._factor(367**2) == [(367, 2)]  # the next prime, whose square is past it
+    assert arith._factor(3 * 131071) == [(3, 1), (131071, 1)]
+    assert arith._factor(1021 * 131071) == [(1021, 1), (131071, 1)]
+    assert arith._factor(2**5 * (2**17 + 1)) == [(2, 5), (3, 1), (43691, 1)]
+    for n in (2**17 - 3, 2**17 - 1, 2**17 + 1, 2**17 + 3, 359**2, 362**2, 367**2,
+              3 * 131071, 1021 * 131071, 2**5 * (2**17 + 1)):
+        assert arith._factor(n) == _factor_by_trial_division(n), n
+
+
+def test_factor_at_seeded_large_n():
+    rng = random.Random(17)
+    for n in [rng.randint(1, 10**10) for _ in range(200)]:
+        assert arith._factor(n) == _factor_by_trial_division(n), n
+
+
+def test_least_factor_table_is_zero_exactly_at_1_and_the_odd_primes():
+    N = arith._SIEVED
+    odd_primes = [p for p in range(3, N, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+    assert len(arith._LEAST) == N >> 1
+    assert [j for j, i in enumerate(arith._LEAST) if i == 0] == [0] + [p >> 1 for p in odd_primes]
+
+
 # -- divisors and divisor sums -----------------------------------------------
 
 

@@ -138,6 +138,20 @@ def test_c1_reproduces_printed_expansion_constants():
         assert abs(c1(m)) / 2 ** (2 * m - 1) == v
 
 
+def test_c1_matches_its_defining_product():
+    for m in range(41):
+        direct = Fraction((-1) ** m, math.factorial(m))
+        for j in range(m):
+            direct *= (Fraction(-1, 2) + j) * (Fraction(3, 2) + j)
+        assert c1(m) == direct and c1(m) == direct, m  # the second call reads the cache
+
+
+def test_c1_refuses_negative_m_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            c1(-1)
+
+
 # -- Bessel J1 ----------------------------------------------------------------------
 
 

@@ -210,15 +210,18 @@ def test_scan_csv_is_written_row_by_row(tmp_path):
 
 
 @pytest.mark.parametrize("args,message", [
-    # 8 PB and 4 PB arrays: past the user address space under any overcommit setting
-    (("rexp", "--x", "25.3", "--ncut", "1000000000000000"),
+    # 8 PB and 4 PB arrays, and an 8 PB list of f_kh weights: past the user
+    # address space under any overcommit setting
+    (("circle", "rexp", "--x", "25.3", "--ncut", "1000000000000000"),
      "n_cut 1000000000000000 is too large: its arrays cannot be allocated"),
-    (("hardy", "--x", "25.3", "--ncut", "1000000000000000"),
+    (("circle", "hardy", "--x", "25.3", "--ncut", "1000000000000000"),
      "n_cut 1000000000000000 is too large: its arrays cannot be allocated"),
-    (("rexp", "--x", "25.3", "--kcut", "1000000000000000", "--ncut", "100"),
-     "k_cut 1000000000000000 is too large: its arrays of 500000000000000 odd k cannot be allocated")])
+    (("circle", "rexp", "--x", "25.3", "--kcut", "1000000000000000", "--ncut", "100"),
+     "k_cut 1000000000000000 is too large: its arrays of 500000000000000 odd k cannot be allocated"),
+    (("count", "expmethod", "--terms", "2:-1", "--n", "0..1000000000000000"),
+     "the request is too large: its tables cannot be allocated")])
 def test_series_cutoff_that_cannot_be_allocated_exits_2(args, message):
-    proc = run_cli("circle", *args, timeout=30)
+    proc = run_cli(*args, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
 
 

@@ -1,5 +1,6 @@
 """Representation counts: closed forms against brute-force oracles."""
 
+import itertools
 import math
 import random
 
@@ -260,8 +261,9 @@ def test_count_power_sum_refuses_bad_kinds():
     # refused before the values are enumerated: at nu = 0, m**nu never exceeds n
     # and at a constant polynomial, A(m) never does
     for kind in (("power", 0), ("power", -1), ("poly", (0,)), ("poly", (1,))):
-        with pytest.raises(ValueError):
-            count_power_sum(kind, 3)
+        for _ in range(2):  # a refusal is never cached, so the second call raises too
+            with pytest.raises(ValueError):
+                count_power_sum(kind, 3)
 
 
 def test_count_power_sum_matches_enumeration():
@@ -287,6 +289,34 @@ def test_count_power_sum_square_and_poly_match_enumeration():
         for n in range(2000):
             direct = sum(1 for a in hits if n - a in hits)
             assert count_power_sum(("poly", coeffs), n) == direct, (coeffs, n)
+
+
+def _power_sum_by_enumeration(values, hits, n):
+    """Ordered pairs (v, n - v) with v in the ascending list values and
+    n - v in the set hits of the same values."""
+    count = 0
+    for v in values:
+        if v > n:
+            break
+        count += n - v in hits
+    return count
+
+
+_POWER_SUM_KINDS = [*((("power", nu), lambda m, nu=nu: m**nu) for nu in range(1, 6)),
+                    (("square",), lambda m: m * m),
+                    (("poly", (1, 1)), lambda m: 1 + m),
+                    (("poly", [1, 2, 3]), lambda m: 1 + 2 * m + 3 * m * m)]
+
+
+@pytest.mark.parametrize("kind,f", _POWER_SUM_KINDS, ids=[str(k) for k, _ in _POWER_SUM_KINDS])
+def test_count_power_sum_matches_enumeration_across_bucket_edges(kind, f):
+    # every n <= 3000, and 2^k - 1, 2^k, 2^k + 1 on both sides of each bucket edge
+    ns = list(range(3001)) + [2**k + d for k in range(12, 17) for d in (-1, 0, 1)]
+    n_max = max(ns)
+    values = list(itertools.takewhile(lambda v: v <= n_max, map(f, itertools.count())))
+    hits = set(values)
+    for n in ns:
+        assert count_power_sum(kind, n) == _power_sum_by_enumeration(values, hits, n), (kind, n)
 
 
 # -- cubic and quintic ------------------------------------------------------------------------
