@@ -397,6 +397,8 @@ def _check_g(h, x, M):
         raise ValueError("x must be nonnegative")
     if M < 1:
         raise ValueError("M must be positive")
+    if not math.isfinite(x * M):  # the largest n x that _g_cos forms
+        raise ValueError(f"n x passes the float range at x = {x}, M = {M}")
 
 
 def _g_cos(n, x, out=None):

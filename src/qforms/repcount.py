@@ -76,19 +76,6 @@ class RepTable:
         return self.counts[n - self.n_range.start]
 
 
-def _term_min(a, b, convention):
-    """Minimum of a x^2 + b x over the term's domain."""
-    cands = []
-    v = -b // (2 * a)
-    for x in (v, v + 1):
-        if convention == "nonneg" and x < 0:
-            continue
-        cands.append(a * x * x + b * x)
-    if convention == "nonneg":
-        cands.append(0)  # x = 0 is always allowed
-    return min(cands)
-
-
 def _term_values(a, b, convention, vmax):
     """Map value -> multiplicity for a x^2 + b x <= vmax over the domain."""
     out = {}
@@ -105,7 +92,7 @@ def oracle_count(spec, n_max):
     """Brute-force enumeration of spec over 0..n_max (independent of series)."""
     s, c = spec.scale, spec.constant
     vtotal = s * n_max - c
-    mins = [_term_min(a, b, spec.convention) for a, b in spec.terms]
+    mins = [theta._least(a, b, spec.convention == "nonneg") for a, b in spec.terms]
     dist = {0: 1}
     for i, (a, b) in enumerate(spec.terms):
         other = sum(mins) - mins[i]
@@ -135,14 +122,15 @@ def count_form(spec, n_max):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     terms = Counter(spec.terms)
-    mins = {t: _term_min(*t, spec.convention) for t in terms}
+    nonneg = spec.convention == "nonneg"
+    mins = {t: theta._least(*t, nonneg) for t in terms}
     base = sum(mins[t] * k for t, k in terms.items())
     start = -spec.constant - base  # the product's exponent read at n = 0
     top = start + spec.scale * n_max  # and at n = n_max
     prod = []
     if top >= 0:
         for (a, b), k in terms.items():
-            lat = theta._lattice(top + 1 + mins[a, b], a, b, nonneg=spec.convention == "nonneg")
+            lat = theta._lattice(top + 1 + mins[a, b], a, b, nonneg=nonneg)
             f = power(lat.coeffs, k, top + 1)  # lat starts at its minimum, mins[a, b]
             prod = convolve(prod, f, top + 1) if prod else f
     skip = max(0, -start)  # targets below every value of the form count 0
@@ -424,9 +412,7 @@ def r_N_squares(N, n_max):
         raise ValueError("N must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    spec = FormSpec.diagonal([1] * N)
-    counts = count_form(spec, _bucket(n_max)).counts[: n_max + 1]
-    return RepTable(spec, range(n_max + 1), counts, "series")
+    return count_form(FormSpec.diagonal([1] * N), n_max)
 
 
 def s_m(m, n):

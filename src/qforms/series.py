@@ -478,7 +478,7 @@ class HalfLaurentSeries:
 _LEAF = 64
 
 
-def _relaxed(acc, leaf, cross):
+def _relaxed(acc, out, leaf, cross, block=None):
     """Drive a recurrence for out[0:n], out[k] depending on out[:k], by
     divide and conquer (J. van der Hoeven, "Relax, but don't be too lazy",
     JSC 34, 2002).
@@ -486,7 +486,7 @@ def _relaxed(acc, leaf, cross):
     acc[k] holds out[k]'s right-hand side less the contributions already
     added.  Each node [lo, hi) solves its left half, subtracts that half's
     contribution to the right half, cross(lo, mid, hi) -- one product of
-    known blocks -- and recurses on the right half; leaf(lo, hi) solves
+    known blocks -- and recurses on the right half; a leaf [lo, hi) solves
     out[lo:hi] from acc[lo:hi].  Only solved outputs meet the inputs, so
     coefficients stay their own size and the cost is O(M(n) log n).  The
     ceiling midpoint keeps every node [lo, hi) with lo > 0 no longer than
@@ -494,30 +494,39 @@ def _relaxed(acc, leaf, cross):
 
     A leaf [lo, hi) with lo > 0 is a triangular system in its own L = hi - lo
     unknowns y = out[lo:hi], with right-hand side a = acc[lo:hi]; as
-    L <= lo, out[:L] is known there.  Each recurrence solves it as one or
-    two products with a series B below _LEAF (_Inverse, or out[:L] itself
-    for an inverse): y = B a / d0 for _solve's inverse and log,
-    y = g_L^-1 a / 2 for _sqrt_unit, y = P_L ((Q_L a)_r / d[lo + r]) for
-    _exp_recurrence (derived at _solve).  It does so when every entry is an
-    int and each product's |.|_1 |.|_1 stays below 2^62, so that
-    np.convolve is exact in int64 (_convolve64, _Inverse.times), and runs the
-    plain loop over the contributions of out[lo:k] otherwise and at the
-    first leaf.  Both give the system's one exact solution.  B costs about
-    one leaf of the loop, so it is only built when two or more leaves
-    follow the first (n > 2 _LEAF; an inverse's B is free, from n > _LEAF).
-    The first leaf whose block fails ends the block products for the rest
-    of the recurrence: outputs and blocks widen as k grows, and each
-    failed attempt costs the norms it took.
+    L <= lo, out[:L] is known there.  block(lo, hi) is the recurrence's rule
+    for that system: one or two int64 products with a series B below _LEAF,
+    grown once by _Inverse -- y = B a / d0 with B = d0 / (d0 + C) for _solve's
+    constant d (inverse and log), y = g_L^-1 a / 2 for _sqrt_unit,
+    y = P_L ((Q_L a)_r / d[lo + r]) for _exp_recurrence (derived at _solve).
+    It returns y as an int64 array when every entry is an int, each
+    product's |.|_1 |.|_1 stays below 2^62, so that np.convolve is exact in
+    int64 (_convolve64, _Inverse.solve), and every division is exact; else
+    None.  The driver tries it at every leaf past the first and writes y
+    into out; leaf(lo, hi), the plain loop over the contributions of
+    out[lo:k], solves the first leaf and every leaf the rule declines.  Both
+    give the system's one exact solution.  B costs about one leaf of the
+    loop, so the rule is only tried when two or more leaves follow the first
+    (n > 2 _LEAF), and its first None ends it for the rest of the
+    recurrence: outputs and blocks widen as k grows, and each failed attempt
+    costs the norms it took.
     """
+    if len(acc) <= 2 * _LEAF:
+        block = None
 
     def solve(lo, hi):
-        if hi - lo <= _LEAF:
+        nonlocal block
+        if hi - lo > _LEAF:
+            mid = (lo + hi + 1) // 2
+            solve(lo, mid)
+            acc[mid:hi] = map(sub, acc[mid:hi], cross(lo, mid, hi))
+            solve(mid, hi)
+        elif lo and block and (y := block(lo, hi)) is not None:
+            out[lo:hi] = y.tolist()
+        else:
+            if lo:
+                block = None
             leaf(lo, hi)
-            return
-        mid = (lo + hi + 1) // 2
-        solve(lo, mid)
-        acc[mid:hi] = map(sub, acc[mid:hi], cross(lo, mid, hi))
-        solve(mid, hi)
 
     solve(0, len(acc))
 
@@ -541,18 +550,12 @@ def _convolve64(f, g, m):
     return np.convolve(np.array(f, np.int64), np.array(g, np.int64))[:m]
 
 
-def _quotient(z, div):
-    """z / div for an int64 array z and div a scalar or an array as long as
-    z, when no entry leaves a remainder; else None."""
-    q, r = np.divmod(z, div)
-    return None if r.any() else q
-
-
 class _Inverse:
     """The first terms of B = c0 / (c0 + sum_(j>=1) c_j t^j), grown on demand:
     B_k = -sum_(1<=j<=k) c_j B_(k-j) / c0 reads c[1:k+1] only when it is asked
     for, so c may be the output list a recurrence is still filling.  No term
-    past the first that is not an int is taken."""
+    past the first that is not an int is taken.  Every block rule of
+    _relaxed is one solve with such a B."""
 
     def __init__(self, c, c0):
         self.c, self.c0 = c, c0
@@ -577,12 +580,16 @@ class _Inverse:
                 norms.append(norms[-1] + abs(v))
         return b[:L] if len(b) >= L and norms[L - 1] * na < 1 << 62 else None
 
-    def times(self, a):
-        """(B a)[:L] for L = len(a) as an int64 array, or None when a or
-        B[:L] is not ints or |B[:L]|_1 |a|_1 reaches 2^62."""
+    def solve(self, a, div):
+        """(B a)[:L] / div for L = len(a) as an int64 array, div a scalar or
+        an array of L entries; None when a or B[:L] is not ints, |B[:L]|_1
+        |a|_1 reaches 2^62 or some entry leaves a remainder."""
         na = _int_norm1(a)
         b = None if na is None else self.prefix(len(a), max(na, 1))  # B fits int64 even for a = 0
-        return None if b is None else np.convolve(np.array(b, np.int64), np.array(a, np.int64))[: len(a)]
+        if b is None:
+            return None
+        q, r = np.divmod(np.convolve(np.array(b, np.int64), np.array(a, np.int64))[: len(a)], div)
+        return None if r.any() else q
 
 
 def _product(f, g, lo, hi):
@@ -628,9 +635,11 @@ def _solve(c, rhs, d):
       alpha (lo + r) (Q y)_r = (Q a)_r.  Hence y = P_L ((Q_L a)_r / d[lo + r])
       with P_L = out[:L] and Q_L its inverse; the division is exact whenever
       P is integral.
-    For an inverse, rhs = d0 e_0, out is B itself and no B is built.  Other
-    d and rhs, as a caller's own, and d outside int64 (the common
-    denominator of Fraction inputs scales it), keep the loop at every leaf.
+    These are the two block rules _relaxed tries past the first leaf (for
+    an inverse, rhs = d0 e_0 and B is out itself, grown apart from it).
+    Other d and rhs, as a caller's own, and d outside int64 (the common
+    denominator of Fraction inputs scales it), have no rule and keep the
+    loop at every leaf.
     """
     n = len(rhs)
     s = _stride(c, rhs) or n
@@ -656,24 +665,17 @@ def _solve(c, rhs, d):
     crev = c[::-1]
     acc = list(rhs)
     block = None
-    if n > _LEAF and d.count(d[0]) == n and abs(d[0]) < 1 << 62:  # d0 divides an int64 array
-        if rhs[0] == d[0] and not any(rhs[1:]):  # an inverse: out is B itself
-            def block(lo, hi):
-                z = _convolve64(out[: hi - lo], acc[lo:hi], hi - lo)
-                return None if z is None else _quotient(z, d[0])
-        elif n > 2 * _LEAF:
-            inv = _Inverse(c, d[0])
+    if d.count(d[0]) == n and abs(d[0]) < 1 << 62:  # d0 divides an int64 array
+        inv = _Inverse(c, d[0])
 
-            def block(lo, hi):
-                z = inv.times(acc[lo:hi])
-                return None if z is None else _quotient(z, d[0])
-    elif (n > 2 * _LEAF and d[1] and abs(d[-1]) < 1 << 62 and d[1:] == list(range(d[1], n * d[1], d[1]))
+        def block(lo, hi):
+            return inv.solve(acc[lo:hi], d[0])
+    elif (d[1] and abs(d[-1]) < 1 << 62 and d[1:] == list(range(d[1], n * d[1], d[1]))
           and rhs[0] == d[0] and not any(rhs[1:])):
         inv = _Inverse(out, 1)
 
         def block(lo, hi):
-            z = inv.times(acc[lo:hi])
-            z = None if z is None else _quotient(z, np.array(d[lo:hi]))
+            z = inv.solve(acc[lo:hi], np.array(d[lo:hi]))
             return None if z is None else _convolve64(out[: hi - lo], z.tolist(), hi - lo)
 
     def dot(k, i0, i1):
@@ -681,20 +683,13 @@ def _solve(c, rhs, d):
         return sum(map(mul, crev[n - 1 - k + i0 : n - 1 - k + i1], out[i0:i1]))
 
     def leaf(lo, hi):
-        nonlocal block
-        y = block(lo, hi) if lo and block else None
-        if y is not None:
-            out[lo:hi] = y.tolist()
-            return
-        if lo:
-            block = None
         for k in range(lo, hi):
             out[k] = _div(acc[k] - dot(k, lo, k), d[k])
 
     def cross(lo, mid, hi):
         return _product(out[lo:mid], c[1 : hi - lo], mid - lo - 1, hi - lo - 1)
 
-    _relaxed(acc, leaf, cross)
+    _relaxed(acc, out, leaf, cross, block)
     return out
 
 
@@ -708,27 +703,19 @@ def _sqrt_unit(rel):
 
     So past the first leaf a block y with right-hand side a satisfies
     2 g_L y = a mod t^L, g_L = g[:L] being solved already (L <= lo):
-    y = g_L^-1 a / 2.
+    y = g_L^-1 a / 2, the block rule _relaxed tries there.
     """
     n = len(rel)
     s = _stride(rel) or n
     acc = list(rel[::s])
     g = [1] + [0] * (len(acc) - 1)
-    inv = _Inverse(g, 1) if len(acc) > 2 * _LEAF else None
+    inv = _Inverse(g, 1)
 
     def pairs(t, a0, a1):
         """sum of g[a] g[t-a] over a0 <= a < a1."""
         return sum(map(mul, g[a0:a1], g[t - a0 : t - a1 : -1]))
 
     def leaf(lo, hi):
-        nonlocal inv
-        z = inv.times(acc[lo:hi]) if lo and inv else None
-        y = None if z is None else _quotient(z, 2)
-        if y is not None:
-            g[lo:hi] = y.tolist()
-            return
-        if lo:
-            inv = None
         for t in range(max(lo, 1), hi):
             g[t] = _div(acc[t] - (2 * pairs(t, lo, t) if lo else pairs(t, 1, t)), 2)
 
@@ -738,7 +725,7 @@ def _sqrt_unit(rel):
         block = g[1:mid]
         return _product(block, block, mid - 2, hi - 2)
 
-    _relaxed(acc, leaf, cross)
+    _relaxed(acc, g, leaf, cross, lambda lo, hi: inv.solve(acc[lo:hi], 2))
     out = [0] * n
     out[::s] = g
     return out

@@ -90,18 +90,36 @@ def _quad_range(a, b, limit):
     return range(lo, hi)
 
 
+def _least(a, b, nonneg=False):
+    """Least of a n^2 + b n (a >= 1) over the integers n, or over n >= 0 when
+    nonneg: at the floor v of the vertex -b/(2a), at v + 1, or at 0."""
+    v = -b // (2 * a)
+    return min(a * n * n + b * n for n in (v, v + 1, 0) if n >= 0 or not nonneg)
+
+
+def _zeros(n):
+    """[0] * n, with a length past sys.maxsize refused as MemoryError, as any
+    other list too long to allocate is."""
+    try:
+        return [0] * n
+    except OverflowError:
+        raise MemoryError from None
+
+
 def _lattice(order_half, a, b, alternating=False, nonneg=False):
     """Sum of (-1)^n (when alternating) q^((a n^2 + b n)/2) over the integers
-    n (n >= 0 when nonneg), valid below half-unit exponent order_half.
-    Terms that cancel are dropped, except at exponent 0."""
-    acc = {}
+    n (n >= 0 when nonneg), valid below half-unit exponent order_half >
+    _least(a, b, nonneg).  Terms that cancel are dropped, except at exponent
+    0.  The coefficients fill one list from the least exponent on, allocated
+    before any n is enumerated, so a span past memory is refused at once."""
+    least = _least(a, b, nonneg)
+    c = _zeros(order_half - least)
     for n in _quad_range(a, b, order_half):
         e = a * n * n + b * n
         if e < order_half and (n >= 0 or not nonneg):
-            acc[e] = acc.get(e, 0) + (-1 if alternating and n % 2 else 1)
-    return HalfLaurentSeries.from_terms(
-        [(e, c) for e, c in acc.items() if c or e == 0], order_half
-    )
+            c[e - least] += -1 if alternating and n % 2 else 1
+    base = next((e for e, v in enumerate(c, least) if v or e == 0), order_half - 1)
+    return HalfLaurentSeries(base, c[base - least :], order_half)
 
 
 def series(kind, order):
@@ -183,7 +201,7 @@ def _fkh_sums(terms, n_max):
     """n times sum_l f_(k_l,h_l)(n) for 0 <= n <= n_max: one sieve adding
     d sum_l chi_(k_l,h_l)(d) at the multiples of each d, laid over each
     term's residues d = 0, k+h, k-h (mod 2k), where chi_kh is 1."""
-    w = [0] * (n_max + 1)
+    w = _zeros(n_max + 1)
     for k, h in terms:
         m = 2 * k
         for r in {0, (k + h) % m, (k - h) % m}:

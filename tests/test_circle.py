@@ -399,6 +399,10 @@ def test_G_parameter_domains():
                              (0.0, math.inf, 10, "x must"), (0.0, math.nan, 10, "x must")):
             with pytest.raises(ValueError, match=msg):
                 fn(h, x, M)
+        # 5 x = 5e308 is past the float range: its terms would be nan
+        with pytest.raises(ValueError, match="n x passes the float range"):
+            fn(0.0, 1e308, 5)
+    assert abs(G(0.0, 1e308, 1) - math.cos(2 * math.pi * math.sqrt(1e308) + math.pi / 4)) < 1e-15
 
 
 def test_G_is_one_correctly_rounded_sum_across_blocks():

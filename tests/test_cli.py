@@ -219,7 +219,16 @@ def test_scan_csv_is_written_row_by_row(tmp_path):
     (("circle", "rexp", "--x", "25.3", "--kcut", "1000000000000000", "--ncut", "100"),
      "k_cut 1000000000000000 is too large: its arrays of 500000000000000 odd k cannot be allocated"),
     (("count", "expmethod", "--terms", "2:-1", "--n", "0..1000000000000000"),
-     "the request is too large: its tables cannot be allocated")])
+     "the request is too large: its tables cannot be allocated"),
+    # lattice sums and f_kh weights spanning past sys.maxsize entries: each
+    # list is sized before any term is enumerated
+    *((args, "the request is too large: its tables cannot be allocated") for args in (
+        ("count", "quad", "--diag", "1,2", "--n", "100000000000000000000"),
+        ("count", "affine", "--diag", "1,2", "--const", "-100000000000000000000", "--n", "0..1"),
+        ("count", "affine", "--diag", "1,1", "--lin", "1000000000000,0", "--n", "0..1"),
+        ("count", "tri", "--m", "100000000000", "--vars", "3", "--n", "0..2"),
+        ("theta", "general", "--k", "1", "--h", "100000000000", "--order", "5"),
+        ("count", "expmethod", "--terms", "2:-1", "--n", "0..100000000000000000000")))])
 def test_series_cutoff_that_cannot_be_allocated_exits_2(args, message):
     proc = run_cli(*args, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
@@ -230,6 +239,14 @@ def test_expansion_past_the_float_range_exits_2(x, N):
     proc = run_cli("circle", "rexp", "--x", x, "--N", N, timeout=30)
     message = f"the order-{N} expansion at x = {float(x)} has terms past the float range"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
+
+
+def test_dm_where_n_x_passes_the_float_range_exits_2():
+    proc = run_cli("circle", "dm", "--x", "1e308", "--M", "5", timeout=30)
+    message = "n x passes the float range at x = 1e+308, M = 5"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
+    proc = run_cli("circle", "dm", "--x", "1e300", "--M", "5", timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1e+300,5,-0.0290165810985\n", "")
 
 
 def test_fresnel_past_the_overflow_of_z_squared_prints_one_half():

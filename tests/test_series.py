@@ -857,8 +857,8 @@ def _binomials(rng, n, count, top):
 
 
 def _spy_block_products(monkeypatch):
-    """For every block product a leaf tries, with B (_Inverse.times) or with
-    out[:L] (_convolve64), whether it ran in int64."""
+    """For every block product a leaf tries, with B (_Inverse.solve) or with
+    out[:L] (_convolve64), whether it ran in int64 and divided exactly."""
     outcomes = []
 
     def spy(product):
@@ -869,8 +869,42 @@ def _spy_block_products(monkeypatch):
         return run
 
     monkeypatch.setattr(series, "_convolve64", spy(series._convolve64))
-    monkeypatch.setattr(series._Inverse, "times", spy(series._Inverse.times))
+    monkeypatch.setattr(series._Inverse, "solve", spy(series._Inverse.solve))
     return outcomes
+
+
+@pytest.mark.parametrize("n", (100, 128, 129, 300, 600))
+@pytest.mark.parametrize("miss", (None, 0, 2))
+def test_relaxed_tries_the_block_rule_past_the_first_leaf_until_its_first_none(n, miss):
+    # a toy recurrence out[k] = rhs[k] - sum_(j<k) out[j], so out[k] =
+    # rhs[k] - rhs[k-1]; its block rule solves a leaf as y_r = a_r - a_(r-1)
+    # and declines the miss-th leaf it is tried at (counting from 0)
+    rhs = [random.Random(n).randint(-99, 99) for _ in range(n)]
+    acc, out, tried, looped = list(rhs), [0] * n, [], []
+
+    def leaf(lo, hi):
+        looped.append(lo)
+        for k in range(lo, hi):
+            out[k] = acc[k] - sum(out[lo:k])
+
+    def cross(lo, mid, hi):
+        return [sum(out[lo:mid])] * (hi - mid)
+
+    def block(lo, hi):
+        tried.append(lo)
+        return None if len(tried) - 1 == miss else np.diff(acc[lo:hi], prepend=0)
+
+    series._relaxed(acc, out, leaf, cross, block)
+    assert out == rhs[:1] + [rhs[k] - rhs[k - 1] for k in range(1, n)]
+    starts = sorted({*tried, *looped})
+    solved = [lo for i, lo in enumerate(tried) if i != miss]
+    assert sorted(solved + looped) == starts  # each leaf once, by the rule or the loop
+    if n <= 2 * series._LEAF:
+        assert tried == [] and looped == starts
+    elif miss is None or miss + 1 >= len(starts):
+        assert tried == starts[1:] and looped == [0]
+    else:
+        assert tried == starts[1 : miss + 2] and looped == [0, *starts[miss + 1 :]]
 
 
 @pytest.mark.parametrize("n", (63, 64, 65, 127, 128, 129, 192, 193, 257))

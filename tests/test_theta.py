@@ -83,6 +83,7 @@ def test_lattice_kinds_match_brute_force():
             assert s.order == 2 * order
             got = {e: s.coeff(e) for e in s.support()}
             assert got == _brute_lattice(order, exponent, alternating, domain), (kind, order)
+            assert s.base == min([0, *got]), (kind, order)  # exponent 0 is kept when it cancels
 
 
 def test_alt_general_cancels_to_zero():
