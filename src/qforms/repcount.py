@@ -16,8 +16,7 @@ from functools import lru_cache
 
 from . import arith
 from .arith import divisor_sum, divisors
-from .circle import r2_table
-from .series import _sqrt_unit, convolve, power
+from .series import convolve, power
 from . import theta
 
 
@@ -162,41 +161,20 @@ def _bucket(n):
     return max(16, 1 << int(n).bit_length())
 
 
-@lru_cache(maxsize=64)
-def _diagonal_counts(coeffs, n_max):
-    """Counts of sum A_k x_k^2 = n for n <= n_max: the square root of the
-    product of the stretched two-square series sum r2(m) q^(A m), one per
-    distinct coefficient A, raised to A's multiplicity."""
-    r2s = r2_table(n_max).tolist()
-    f = None
-    for a, k in Counter(coeffs).items():
-        stretched = [0] * (n_max + 1)
-        stretched[::a] = r2s[: n_max // a + 1]
-        term = power(stretched, k, n_max + 1)
-        f = term if f is None else convolve(f, term, n_max + 1)
-    counts = _sqrt_unit(f)
-    if any(type(c) is not int for c in counts):
-        raise ArithmeticError("square-root transform produced a non-integer count")
-    return tuple(counts)
-
-
 def count_diagonal(coeffs, n_max):
-    """Counts for sum A_k x_k^2 = n via one square-root pass over the
-    N-fold convolution of two-square counts."""
+    """Counts for sum A_k x_k^2 = n, the A_k with gcd 1: the count_form
+    table of FormSpec.diagonal, which r_N_squares and tri_reduce also read."""
     coeffs = [int(a) for a in coeffs]
     if not coeffs or any(a < 1 for a in coeffs):
         raise ValueError("coefficients must be >= 1")
-    g = 0
-    for a in coeffs:
-        g = math.gcd(g, a)
-    if g != 1:
-        raise ValueError("diagonal transform requires gcd of coefficients 1")
-    counts = _diagonal_counts(tuple(coeffs), n_max)
-    return RepTable(FormSpec.diagonal(coeffs), range(n_max + 1), counts, "transform")
+    if math.gcd(*coeffs) != 1:
+        raise ValueError("diagonal counts require gcd of coefficients 1")
+    return count_form(FormSpec.diagonal(coeffs), n_max)
 
 
 def count_two_form(A, B, n):
-    """Ordered integer pairs with A x^2 + B y^2 = n, gcd(A, B) = 1."""
+    """Ordered integer pairs with A x^2 + B y^2 = n, gcd(A, B) = 1, read off
+    count_diagonal's table at n's bucket."""
     return count_diagonal((A, B), _bucket(n)).count(n)
 
 

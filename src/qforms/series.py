@@ -38,9 +38,10 @@ def _div(v, n):
 
 
 def _integral(coeffs):
-    """(d, coefficients times d) for d the least common denominator."""
-    d = math.lcm(*(c.denominator for c in coeffs if type(c) is not int))
-    return d, coeffs if d == 1 else [int(c * d) for c in coeffs]
+    """(d, coefficients times d, all ints) for d the least common denominator."""
+    dens = [c.denominator for c in coeffs if type(c) is not int]
+    d = math.lcm(*dens)
+    return d, [int(c * d) for c in coeffs] if dens else coeffs
 
 
 # Measured on the int64-bounded products of the benchmark's series tables:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qforms import arith, repcount, theta
+from qforms import arith, repcount, series, theta
 from qforms.circle import r2_table
 from qforms.repcount import (FormSpec, RepTable, count_affine, count_diagonal,
                              count_form, count_poly_composed, count_power_sum,
@@ -91,11 +91,29 @@ def test_count_form_matches_oracle():
         assert t.counts == oracle_count(spec, n_max).counts, (spec, n_max)
 
 
+def r2_product(coeffs, n_max):
+    """prod_k sum_m r2(m) q^(A_k m) to q^n_max: theta_3(q^A_k)^2 over the A_k,
+    the square of the diagonal form's theta series."""
+    r2s = r2_table(n_max).tolist()
+    f = [1]
+    for a in coeffs:
+        stretched = [0] * (n_max + 1)
+        stretched[::a] = r2s[: n_max // a + 1]
+        f = series.convolve(f, stretched, n_max + 1)
+    return f
+
+
+def _sqrt_r2_table(coeffs, n_max):
+    """The paper's diagonal counts: the square root of r2_product."""
+    counts = tuple(series._sqrt_unit(r2_product(coeffs, n_max)))
+    return RepTable(FormSpec.diagonal(coeffs), range(n_max + 1), counts, "transform")
+
+
 @pytest.mark.parametrize("table,spec", [
-    (lambda: count_diagonal((1, 2), 16384), FormSpec.diagonal((1, 2))),
-    (lambda: count_diagonal((3, 1, 2), 4096), FormSpec.diagonal((3, 1, 2))),
+    (lambda: _sqrt_r2_table((1, 2), 16384), FormSpec.diagonal((1, 2))),
+    (lambda: _sqrt_r2_table((3, 1, 2), 4096), FormSpec.diagonal((3, 1, 2))),
     (lambda: exp_method_count(((3, -2), (3, -2)), 8192), FormSpec(((3, -2), (3, -2)))),
-    (lambda: count_diagonal((1, 2), 10**5), FormSpec.diagonal((1, 2))),
+    (lambda: _sqrt_r2_table((1, 2), 10**5), FormSpec.diagonal((1, 2))),
     (lambda: exp_method_count(((3, -2), (3, -2)), 10**5), FormSpec(((3, -2), (3, -2)))),
 ], ids=["diagonal(1,2)", "diagonal(3,1,2)", "exp(3,-2)^2", "diagonal(1,2)@1e5", "exp(3,-2)^2@1e5"])
 def test_transforms_equal_count_form(table, spec):
@@ -135,7 +153,7 @@ def test_r2_matches_oracle():
 
 
 def test_r2_sieve_equals_per_n_r2():
-    # the table _diagonal_counts reads its r2 values from
+    # the table r2_product reads its r2 values from
     assert r2_table(0).tolist() == [1]
     assert r2_table(4000).tolist() == [r2(n) for n in range(4001)]
 
@@ -192,9 +210,21 @@ def test_count_diagonal_matches_oracle():
             assert t.count(n) == o.count(n), (coeffs, n)
 
 
+def test_count_diagonal_is_count_form_of_the_diagonal_spec():
+    for c in ((1, 2), (3, 1, 2), (1,) * 8):
+        t = count_diagonal(c, 300)
+        assert (t.spec, t.method) == (FormSpec.diagonal(c), "series")
+        assert t.counts == count_form(FormSpec.diagonal(c), 300).counts
+    count_form.cache_clear()
+    squares = r_N_squares(8, 200)
+    misses = count_form.cache_info().misses
+    assert count_diagonal([1] * 8, 200) is squares  # the table r_N_squares built
+    assert count_form.cache_info().misses == misses
+
+
 def test_transforms_at_a_2k_plus_1_bucket_match_oracle():
-    # n in [512, 1024) computes the 1025-slot bucket, which the square-root
-    # driver splits 513 + 512 without padding
+    # n in [512, 1024) reads count_diagonal's 1025-slot bucket; the square
+    # root at that length is test_series' test_sqrt_of_2k_plus_1_slots_matches_loop
     for A, B, n in ((1, 2, 1000), (2, 3, 777)):
         assert repcount._bucket(n) + 1 == 1025
         t = count_diagonal([A, B], repcount._bucket(n))

@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qforms import repcount, series, theta
+from qforms import series, theta
 from qforms.series import HalfLaurentSeries, convolve, exp_neg, power, sqrt_coeff_fdb
+
+from test_repcount import r2_product
 
 S = HalfLaurentSeries
 
@@ -821,6 +823,26 @@ def test_solve_with_fraction_inputs():
     assert exp_neg(a).log() == a.scale(-1)
 
 
+def test_recurrences_take_integral_fractions_as_their_ints():
+    # a Fraction(k, 1) among ints has common denominator 1; the products
+    # still need it as an int
+    c = [0] + [1] * 200
+    c[10] = 3
+    cf = list(c)
+    cf[10] = Fraction(3)
+    assert series._exp_recurrence(cf) == series._exp_recurrence(c)
+    u, uf = [1] + c[1:], [1] + cf[1:]
+    for _, rhs, d in _three_recurrences(u)[:2]:  # inverse and log-derivative
+        assert series._solve(uf, rhs, d) == series._solve(u, rhs, d)
+    # k * c_k with one c_k = v/2 at an even k is an integral Fraction
+    rng = random.Random(45)
+    c = [0] + [rng.randint(-3, 3) for _ in range(126)]
+    c[40] = Fraction(5, 2)
+    w = [k * v for k, v in enumerate(c)]
+    assert w[40] == 100 and type(w[40]) is Fraction
+    assert series._exp_recurrence(w) == series._exp_recurrence([int(v) for v in w])
+
+
 def test_wide_coefficient_inverse_and_log_at_1024():
     # 1/f for dense f grows about 1.8 bits per index, so the driver's cross
     # terms pair outputs of up to ~1700 bits with c in +-{1, 2, 3}
@@ -1000,9 +1022,8 @@ def test_exp_shaped_divisors_with_another_rhs_keep_the_loop(monkeypatch):
 
 def test_transform_leaves_take_block_products_and_dense_inverses_do_not(monkeypatch):
     outcomes = _spy_block_products(monkeypatch)
-    repcount._diagonal_counts.cache_clear()
-    counts = repcount.count_diagonal((1, 2), 2048).counts
-    assert counts[:6] == (1, 2, 2, 4, 2, 0)  # x^2 + 2y^2 = 0..5
+    counts = series._sqrt_unit(r2_product((1, 2), 2048))  # theta_3(q) theta_3(q^2)
+    assert counts[:6] == [1, 2, 2, 4, 2, 0]  # x^2 + 2y^2 = 0..5
     assert len(outcomes) >= 2048 // series._LEAF and all(outcomes)
     outcomes.clear()
     f = _dense(random.Random(42), 1024)
