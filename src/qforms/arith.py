@@ -6,6 +6,7 @@ Everything here is exact: integer or Fraction valued, no floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -40,32 +41,39 @@ del _i, _p
 
 def _factor(n):
     """[(p, k), ...] with n = prod p^k over the primes p | n, ascending, for
-    n >= 1.  The power of 2 comes from the low bits.  Each pass of the loop
-    then divides out the least prime factor p of the odd unfactored part m:
-    below _SIEVED = 2^17, p is read off _LEAST; at or above it, p is found by
-    trial division, by the odd primes below 2^10 and past them by every odd
-    p, and m < p^2 makes m itself prime.  A large n hands over to the table
-    as soon as its cofactor drops below 2^17."""
+    n >= 1.  The power of 2 comes from the low bits.  While the odd
+    unfactored part m is at least _SIEVED = 2^17, it is trial-divided, by the
+    odd primes below 2^10 and past them by every odd p, and m < p^2 makes m
+    itself prime.  Below 2^17 each least prime factor of m is read off
+    _LEAST, so a large n hands over to the table as soon as its cofactor
+    drops below 2^17."""
     fs = []
     k = (n & -n).bit_length() - 1
     if k:
         fs.append((2, k))
         n >>= k
-    primes = None  # the trial divisors, made only for a part past the table
-    while n > 1:
-        if n < _SIEVED:
-            i = _LEAST[n >> 1]
-            p = _ODD_PRIMES[i - 1] if i else n
+    if n >= _SIEVED:
+        for p in _ODD_PRIMES:
+            if p * p > n:
+                break
+            if n % p == 0:
+                n = _divide_out(n, p, fs)
+                if n < _SIEVED:
+                    break
         else:
-            if primes is None:
-                primes = itertools.chain(_ODD_PRIMES, itertools.count(_ODD_PRIMES[-1] + 2, 2))
-            for p in primes:  # resumes past the last p divided out
-                if p * p > n:
-                    p = n
-                    break
+            p = _ODD_PRIMES[-1] + 2
+            while p * p <= n:
                 if n % p == 0:
-                    break
-        n = _divide_out(n, p, fs)
+                    n = _divide_out(n, p, fs)
+                    if n < _SIEVED:
+                        break
+                p += 2
+        if n >= _SIEVED:  # no factor up to its square root
+            fs.append((n, 1))
+            n = 1
+    while n > 1:
+        i = _LEAST[n >> 1]
+        n = _divide_out(n, _ODD_PRIMES[i - 1] if i else n, fs)
     return fs
 
 
@@ -243,43 +251,73 @@ def _iroot(t, nu):
         r = s
 
 
+_TABLED = 1 << 7  # a below this reads its b off _square_roots(a)
+
+
+@functools.lru_cache(maxsize=None)
+def _square_roots(a):
+    """{r: (b, ...)}: the b in [0, a], ascending, with b^2 = r (mod 4a), for
+    every square r mod 4a.  Built from b = 0..a on the first call for a and
+    kept; only a < _TABLED = 2^7 is asked for, so at most 127 tables, about
+    0.55 MB all told."""
+    roots = {}
+    for b in range(a + 1):
+        roots.setdefault(b * b % (4 * a), []).append(b)
+    return {r: tuple(bs) for r, bs in roots.items()}
+
+
+def _forms(D):
+    """Yield each primitive reduced form (a, b, c) of discriminant D < 0 with
+    b >= 0, once.
+
+    a < 2^7 is walked a-major: the b in [0, a] with b^2 = D (mod 4a) come
+    off _square_roots(a), and (a, b, c) is kept when c = (b^2 - D)/4a >= a
+    and gcd(a, b, c) = 1, about sqrt(|D|) lookups in all.  a >= 2^7 exists
+    only when |D| >= 3 * 2^14 and is walked b-major (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 5.3.5): a runs over the
+    divisors of ac = (b^2 - D)/4 in [max(b, 2^7), sqrt(ac)], over odd values
+    only where ac is odd, Theta(|D|) divisions.
+    """
+    if D >= 0 or D % 4 not in (0, 1):
+        raise ValueError("discriminant must be negative and 0 or 1 mod 4")
+    top = math.isqrt(-D // 3)  # 3a^2 <= |D| for every reduced form
+    for a in range(1, min(top + 1, _TABLED)):
+        for b in _square_roots(a).get(D % (4 * a), ()):
+            c = (b * b - D) // (4 * a)
+            if c >= a and math.gcd(a, b, c) == 1:
+                yield a, b, c
+    if top < _TABLED:
+        return
+    for b in range(D % 2, top + 1, 2):
+        ac = (b * b - D) // 4
+        odd = ac & 1  # an odd ac has no even divisor a
+        for a in range(max(b, _TABLED) | odd, math.isqrt(ac) + 1, 1 + odd):
+            if not ac % a and math.gcd(a, b, ac // a) == 1:
+                yield a, b, ac // a
+
+
 def reduced_forms(D):
     """Primitive reduced binary quadratic forms (a, b, c) of discriminant D < 0,
     ascending.
 
     Reduction: |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.  The
-    walk is b-major (H. Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 5.3.5): a runs over the divisors of ac = (b^2 - D)/4 in
-    [b, sqrt(ac)], and (a, -b, c) joins (a, b, c) when 0 < b < a < c.
+    forms with b >= 0 come off _forms' walk, about sqrt(|D|) table lookups
+    while |D| < 3 * 2^14 and Theta(|D|) divisions past it, and (a, -b, c)
+    joins (a, b, c) when 0 < b < a < c.
     """
-    if D >= 0 or D % 4 not in (0, 1):
-        raise ValueError("discriminant must be negative and 0 or 1 mod 4")
     forms = []
-    for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
-        ac = (b * b - D) // 4
-        for a in [a for a in range(max(b, 1), math.isqrt(ac) + 1) if not ac % a]:
-            c = ac // a
-            if math.gcd(a, b, c) == 1:
-                forms.append((a, b, c))
-                if 0 < b < a < c:
-                    forms.append((a, -b, c))
+    for a, b, c in _forms(D):
+        forms.append((a, b, c))
+        if 0 < b < a < c:
+            forms.append((a, -b, c))
     forms.sort()
     return forms
 
 
 def class_number(D):
     """h(D): number of primitive reduced forms of discriminant D < 0, counted
-    on reduced_forms' b-major walk without listing them; where ac is odd, a
-    steps over the odd values only."""
-    if D >= 0 or D % 4 not in (0, 1):
-        raise ValueError("discriminant must be negative and 0 or 1 mod 4")
-    h = 0
-    for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
-        ac = (b * b - D) // 4
-        odd = ac & 1  # an odd ac has no even divisor a
-        for a in range(max(b, 1) | odd, math.isqrt(ac) + 1, 1 + odd):
-            if not ac % a:
-                c = ac // a
-                if math.gcd(a, b, c) == 1:
-                    h += 2 if 0 < b < a < c else 1  # (a, -b, c) is reduced too
-    return h
+    on _forms' walk without listing them: each (a, b, c) weighs 2 when
+    0 < b < a < c, for itself and (a, -b, c), and 1 otherwise.  About
+    sqrt(|D|) table lookups while |D| < 3 * 2^14 and Theta(|D|) divisions
+    past it; the tables of _square_roots take at most about 0.55 MB."""
+    return sum(2 if 0 < b < a < c else 1 for a, b, c in _forms(D))

@@ -355,6 +355,64 @@ def test_class_number_counts_the_reduced_forms_at_the_benchmark_range():
         assert class_number(D) == len(reduced_forms(D)), D
 
 
+def _class_number_b_major(D):
+    """h(D) on Cohen's b-major walk (Alg. 5.3.5): for every b, a runs over the
+    divisors of ac = (b^2 - D)/4 in [b, sqrt(ac)], odd ones only where ac is odd."""
+    h = 0
+    for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
+        ac = (b * b - D) // 4
+        odd = ac & 1
+        for a in range(max(b, 1) | odd, math.isqrt(ac) + 1, 1 + odd):
+            if not ac % a:
+                c = ac // a
+                if math.gcd(a, b, c) == 1:
+                    h += 2 if 0 < b < a < c else 1
+    return h
+
+
+def _seeded_discriminants(seed, lo, hi, k):
+    """k seeded discriminants D with lo <= |D| <= hi."""
+    return random.Random(seed).sample([-m for m in range(lo, hi + 1) if m % 4 in (0, 3)], k)
+
+
+# a < 2^7 reads its roots of b^2 = D (mod 4a) off a table, a >= 2^7 takes the
+# b-major walk, and a = 2^7 first appears at |D| = 3 * 2^14
+_BELOW_SPLIT = _seeded_discriminants(27, 3 * 127**2, 3 * 2**14 - 1, 300)
+_ABOVE_SPLIT = _seeded_discriminants(28, 3 * 2**14, 3 * 129**2, 300)
+
+
+def test_class_number_matches_the_b_major_walk_through_minus_6000():
+    for D in range(-6000, 0):
+        if D % 4 in (0, 1):
+            assert class_number(D) == _class_number_b_major(D), D
+
+
+def test_class_number_matches_the_b_major_walk_on_both_sides_of_the_split():
+    for D in _BELOW_SPLIT + _ABOVE_SPLIT:
+        assert class_number(D) == _class_number_b_major(D), D
+
+
+def test_class_number_matches_the_b_major_walk_at_large_discriminants():
+    for D in _seeded_discriminants(29, 4 * 10**5 - 2000, 4 * 10**5 + 2000, 20):
+        assert class_number(D) == _class_number_b_major(D), D
+    for D in _seeded_discriminants(30, 4 * 10**6 - 2000, 4 * 10**6 + 2000, 4):
+        assert class_number(D) == _class_number_b_major(D), D
+
+
+def test_reduced_forms_match_the_a_major_loop_on_both_sides_of_the_split():
+    edge = 0  # forms with a = 2^7, the first a past the tables
+    for D in _BELOW_SPLIT + _ABOVE_SPLIT:
+        forms = reduced_forms(D)
+        assert forms == _reduced_forms_a_major(D), D
+        edge += sum(a == 2**7 for a, _, _ in forms)
+    assert edge > 0
+
+
+def test_square_root_tables_stop_below_2_to_the_7():
+    class_number(-4 * 10**6 - 3)
+    assert arith._square_roots.cache_info().currsize <= 127
+
+
 def test_class_number_one_discriminants():
     ones = [D for D in range(-5000, 0) if D % 4 in (0, 1) and class_number(D) == 1]
     assert ones == [-163, -67, -43, -28, -27, -19, -16, -12, -11, -8, -7, -4, -3]
