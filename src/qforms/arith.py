@@ -144,7 +144,7 @@ def f_kh(k, h, n):
     if n < 1:
         raise ValueError("f_kh requires n >= 1")
     if k < 1:
-        raise ValueError("chi_kh requires k >= 1")
+        raise ValueError("f_kh requires k >= 1")
     m = 2 * k
     hits = {0, (k + h) % m, (k - h) % m}  # the residues where chi_kh is 1
     s = sum(d for d in divisors(n) if d % m in hits)
@@ -251,49 +251,65 @@ def _iroot(t, nu):
         r = s
 
 
-_TABLED = 1 << 7  # a below this reads its b off _square_roots(a)
+_TABLED = 1 << 7  # a below this reads its b off _root_tables()
 
 
 @functools.lru_cache(maxsize=None)
-def _square_roots(a):
-    """{r: (b, ...)}: the b in [0, a], ascending, with b^2 = r (mod 4a), for
-    every square r mod 4a.  Built from b = 0..a on the first call for a and
-    kept; only a < _TABLED = 2^7 is asked for, so at most 127 tables, about
-    0.55 MB all told."""
-    roots = {}
-    for b in range(a + 1):
-        roots.setdefault(b * b % (4 * a), []).append(b)
-    return {r: tuple(bs) for r, bs in roots.items()}
+def _root_tables():
+    """The list tabs of square-root tables that _walk reads: tabs[a][r] is the
+    tuple of b in [0, a], ascending, with b^2 = r (mod 4a), for every r in
+    [0, 4a), and the shared () where r is not a square mod 4a; tabs[0] is
+    None.  Starts with no table; _walk appends the tables up to the largest a it
+    needs, never past _TABLED - 1 = 127, so at most 127 tables, about 0.5 MB
+    all told.  An lru_cache, not a module-level list, so that clearing the
+    module's caches clears the tables too; one lookup per walk."""
+    return [None]
 
 
-def _forms(D):
-    """Yield each primitive reduced form (a, b, c) of discriminant D < 0 with
-    b >= 0, once.
+def _walk(D, out=None):
+    """h(D) for a discriminant D < 0, counted on one walk over the primitive
+    reduced forms (a, b, c) with b >= 0: each weighs 2 when 0 < b < a < c,
+    for itself and (a, -b, c), and 1 otherwise.  When out is a list, each
+    such (a, b, c) is also appended to it, once.
 
-    a < 2^7 is walked a-major: the b in [0, a] with b^2 = D (mod 4a) come
-    off _square_roots(a), and (a, b, c) is kept when c = (b^2 - D)/4a >= a
-    and gcd(a, b, c) = 1, about sqrt(|D|) lookups in all.  a >= 2^7 exists
-    only when |D| >= 3 * 2^14 and is walked b-major (H. Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 5.3.5): a runs over the
-    divisors of ac = (b^2 - D)/4 in [max(b, 2^7), sqrt(ac)], over odd values
-    only where ac is odd, Theta(|D|) divisions.
+    a < 2^7 is walked a-major: the b in [0, a] with b^2 = D (mod 4a) are
+    read off _root_tables()[a][D mod 4a], and (a, b, c) is kept when
+    c = (b^2 - D)/4a >= a and gcd(a, b, c) = 1.  That costs one cache lookup
+    per D plus about sqrt(|D|/3) list reads while |D| < 3 * 2^14.  a >= 2^7
+    exists only when |D| >= 3 * 2^14 and is walked b-major (H. Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 5.3.5): a runs
+    over the divisors of ac = (b^2 - D)/4 in [max(b, 2^7), sqrt(ac)], over
+    odd values only where ac is odd, Theta(|D|) divisions.
     """
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
     top = math.isqrt(-D // 3)  # 3a^2 <= |D| for every reduced form
+    tabs = _root_tables()
+    for a in range(len(tabs), min(top + 1, _TABLED)):
+        row = [()] * (4 * a)
+        for b in range(a + 1):
+            row[b * b % (4 * a)] += (b,)
+        tabs.append(row)
+    h = 0
     for a in range(1, min(top + 1, _TABLED)):
-        for b in _square_roots(a).get(D % (4 * a), ()):
+        for b in tabs[a][D % (4 * a)]:
             c = (b * b - D) // (4 * a)
             if c >= a and math.gcd(a, b, c) == 1:
-                yield a, b, c
+                h += 2 if 0 < b < a < c else 1
+                if out is not None:
+                    out.append((a, b, c))
     if top < _TABLED:
-        return
+        return h
     for b in range(D % 2, top + 1, 2):
         ac = (b * b - D) // 4
         odd = ac & 1  # an odd ac has no even divisor a
         for a in range(max(b, _TABLED) | odd, math.isqrt(ac) + 1, 1 + odd):
             if not ac % a and math.gcd(a, b, ac // a) == 1:
-                yield a, b, ac // a
+                c = ac // a
+                h += 2 if 0 < b < a < c else 1
+                if out is not None:
+                    out.append((a, b, c))
+    return h
 
 
 def reduced_forms(D):
@@ -301,23 +317,20 @@ def reduced_forms(D):
     ascending.
 
     Reduction: |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.  The
-    forms with b >= 0 come off _forms' walk, about sqrt(|D|) table lookups
-    while |D| < 3 * 2^14 and Theta(|D|) divisions past it, and (a, -b, c)
-    joins (a, b, c) when 0 < b < a < c.
+    forms with b >= 0 come off _walk, one cache lookup plus about
+    sqrt(|D|/3) list reads while |D| < 3 * 2^14 and Theta(|D|) divisions
+    past it, and (a, -b, c) joins (a, b, c) when 0 < b < a < c.
     """
     forms = []
-    for a, b, c in _forms(D):
-        forms.append((a, b, c))
-        if 0 < b < a < c:
-            forms.append((a, -b, c))
+    _walk(D, forms)
+    forms += [(a, -b, c) for a, b, c in forms if 0 < b < a < c]
     forms.sort()
     return forms
 
 
 def class_number(D):
     """h(D): number of primitive reduced forms of discriminant D < 0, counted
-    on _forms' walk without listing them: each (a, b, c) weighs 2 when
-    0 < b < a < c, for itself and (a, -b, c), and 1 otherwise.  About
-    sqrt(|D|) table lookups while |D| < 3 * 2^14 and Theta(|D|) divisions
-    past it; the tables of _square_roots take at most about 0.55 MB."""
-    return sum(2 if 0 < b < a < c else 1 for a, b, c in _forms(D))
+    on _walk without listing them.  One cache lookup per D plus about
+    sqrt(|D|/3) list reads while |D| < 3 * 2^14, Theta(|D|) divisions past
+    it; the tables of _root_tables take at most about 0.5 MB."""
+    return _walk(D)

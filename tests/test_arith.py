@@ -218,6 +218,11 @@ def test_f_kh_values():
     assert f_kh(3, 2, 6) == Fraction(7, 6)  # divisors 1 and 6 pass
 
 
+def test_f_kh_names_itself_when_k_is_below_1():
+    with pytest.raises(ValueError, match=r"^f_kh requires k >= 1$"):
+        f_kh(0, 1, 1)
+
+
 def test_n_times_f_kh_is_nonnegative_integer():
     for k, h in ((2, 1), (3, 2), (5, 2), (10, 1)):
         for n in range(1, 2000):
@@ -410,7 +415,30 @@ def test_reduced_forms_match_the_a_major_loop_on_both_sides_of_the_split():
 
 def test_square_root_tables_stop_below_2_to_the_7():
     class_number(-4 * 10**6 - 3)
-    assert arith._square_roots.cache_info().currsize <= 127
+    assert len(arith._root_tables()) - 1 <= 127  # tabs[0] is a placeholder
+
+
+def test_the_walk_grows_one_table_per_a_it_needs():
+    arith._root_tables.cache_clear()
+    class_number(-19999)
+    assert len(arith._root_tables()) - 1 == math.isqrt(19999 // 3) == 81
+
+
+def test_class_number_makes_one_table_lookup_per_discriminant():
+    info = arith._root_tables.cache_info()
+    for D in range(-4000, -3600, 4):
+        class_number(D)
+    after = arith._root_tables.cache_info()
+    assert (after.hits + after.misses) - (info.hits + info.misses) == 100
+
+
+def test_the_walk_counts_the_forms_it_lists():
+    Ds = [D for D in range(-3000, 0) if D % 4 in (0, 1)] + _BELOW_SPLIT + _ABOVE_SPLIT
+    for D in Ds:
+        out = []
+        h = arith._walk(D, out)
+        assert h == sum(2 if 0 < b < a < c else 1 for a, b, c in out), D
+        assert sorted(out) == [f for f in reduced_forms(D) if f[1] >= 0], D
 
 
 def test_class_number_one_discriminants():

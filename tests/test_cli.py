@@ -90,6 +90,11 @@ def test_affine_names_the_flag_that_needs_two_integers(args, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
 
 
+def test_fkh_table_with_k_below_1_names_f_kh():
+    proc = run_cli("table", "fkh", "--k", "0", "--h", "1", "--n", "1..3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "qforms: f_kh requires k >= 1\n")
+
+
 def test_closed_tri_odd_m_checks_16_times_the_value(monkeypatch, capsys):
     argv = ["count", "tri", "--m", "3", "--vars", "4", "--method", "closed",
             "--n", "0..30", "--verify", "oracle"]
