@@ -110,8 +110,7 @@ def _count_rows(args):
         lo = max(lo, 1)
     ns = range(lo, hi + 1)
     s = args.scale
-    base = 0  # every table is read at n - base
-    ratio = 1  # and the oracle counts ratio times the value
+    ratio = 1  # the oracle counts ratio times the value
     if fam in ("quad", "affine"):
         if not args.diag:
             raise ValueError(f"{fam} needs --diag")
@@ -120,21 +119,19 @@ def _count_rows(args):
             method = args.method or ("closed" if len(coeffs) == 2 else "series")
             if method == "closed" and len(coeffs) != 2:
                 raise ValueError("closed two-square form needs exactly two coefficients")
-            terms, const = tuple((a, 0) for a in coeffs), 0
+            # quad's table starts at 0 or later, so it refuses a target below 0
+            terms, const, first = tuple((a, 0) for a in coeffs), 0, max(lo, 0)
             spec = {"family": "quad", "diag": list(coeffs), "scale": s}
         else:
             A, B = _pair(coeffs, "--diag")
             C, D = _pair(_parse_ints(args.lin), "--lin")
-            E = args.const
             method = "closed"
-            # fold targets below 0 into the constant; quad refuses them
-            base = min(lo, 0)
-            terms, const = ((A, C), (B, D)), E - s * base
-            spec = {"family": "affine", "diag": [A, B], "lin": [C, D], "const": E, "scale": s}
+            terms, const, first = ((A, C), (B, D)), args.const, lo
+            spec = {"family": "affine", "diag": [A, B], "lin": [C, D], "const": const, "scale": s}
         form = repcount.FormSpec(terms, scale=s, constant=const)
-        table = repcount.count_form(form, hi - base)
-        vals = [table.count(n - base) for n in ns]
-        oracle = lambda: repcount.oracle_count(form, hi - base)
+        table = repcount.count_form(form, hi, first)
+        vals = [table.count(n) for n in ns]
+        oracle = lambda: repcount.oracle_count(form, hi, first)
     elif fam == "tri":
         m, N = args.m, args.vars
         method = args.method or "series"
@@ -177,7 +174,7 @@ def _count_rows(args):
     if args.verify == "oracle":
         ref = oracle()
         for n, v in zip(ns, vals):
-            want = ref.count(n - base)
+            want = ref.count(n)
             if ratio * v != want:
                 shown = v if ratio == 1 else f"{ratio} * {v}"
                 raise VerifyMismatch(f"{fam}: value {shown} at n={n} but oracle gives {want}")

@@ -87,8 +87,9 @@ def _term_values(a, b, convention, vmax):
     return out
 
 
-def oracle_count(spec, n_max):
-    """Brute-force enumeration of spec over 0..n_max (independent of series)."""
+def oracle_count(spec, n_max, lo=0):
+    """Brute-force enumeration of spec over the targets lo..n_max
+    (independent of series); lo may be negative."""
     s, c = spec.scale, spec.constant
     vtotal = s * n_max - c
     mins = [theta._least(a, b, spec.convention == "nonneg") for a, b in spec.terms]
@@ -104,28 +105,29 @@ def oracle_count(spec, n_max):
                 if t + rest <= vtotal:
                     new[t] = new.get(t, 0) + pc * vc
         dist = new
-    counts = [dist.get(s * n - c, 0) for n in range(n_max + 1)]
-    return RepTable(spec, range(n_max + 1), tuple(counts), "oracle")
+    ns = range(lo, n_max + 1)
+    return RepTable(spec, ns, tuple(dist.get(s * n - c, 0) for n in ns), "oracle")
 
 
 @lru_cache(maxsize=64)
-def count_form(spec, n_max):
-    """Counts of spec over 0..n_max from its generating function, the
-    series twin of oracle_count.
+def count_form(spec, n_max, lo=0):
+    """Counts of spec over the targets lo..n_max from its generating
+    function, the series twin of oracle_count; lo may be negative.
 
     Each distinct term a x^2 + b x contributes one lattice sum, shifted to
     start at the term's minimum; a term repeated k times enters as its k-th
     power.  The count at n is the product's coefficient at s n - c, less
-    the sum of the minima.
+    the sum of the minima, and 0 where that exponent is negative: below
+    every value of the form.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    if n_max < lo:
+        raise ValueError("n_max must be nonnegative" if lo == 0 else f"empty window {lo}..{n_max}")
     terms = Counter(spec.terms)
     nonneg = spec.convention == "nonneg"
     mins = {t: theta._least(*t, nonneg) for t in terms}
     base = sum(mins[t] * k for t, k in terms.items())
-    start = -spec.constant - base  # the product's exponent read at n = 0
-    top = start + spec.scale * n_max  # and at n = n_max
+    start = spec.scale * lo - spec.constant - base  # the product's exponent read at n = lo
+    top = start + spec.scale * (n_max - lo)  # and at n = n_max
     prod = []
     if top >= 0:
         for (a, b), k in terms.items():
@@ -134,7 +136,7 @@ def count_form(spec, n_max):
             prod = convolve(prod, f, top + 1) if prod else f
     skip = max(0, -start)  # targets below every value of the form count 0
     counts = tuple(([0] * skip + prod)[start + skip : top + skip + 1 : spec.scale])
-    return RepTable(spec, range(n_max + 1), counts, "series")
+    return RepTable(spec, range(lo, n_max + 1), counts, "series")
 
 
 # -- two squares and diagonal forms ------------------------------------
@@ -162,42 +164,26 @@ def _bucket(n):
 
 
 def count_diagonal(coeffs, n_max):
-    """Counts for sum A_k x_k^2 = n, the A_k with gcd 1: the count_form
-    table of FormSpec.diagonal, which r_N_squares and tri_reduce also read."""
-    coeffs = [int(a) for a in coeffs]
-    if not coeffs or any(a < 1 for a in coeffs):
-        raise ValueError("coefficients must be >= 1")
-    if math.gcd(*coeffs) != 1:
-        raise ValueError("diagonal counts require gcd of coefficients 1")
+    """Counts for sum A_k x_k^2 = n over 0..n_max, any A_k >= 1: the
+    count_form table of FormSpec.diagonal, which r_N_squares and tri_reduce
+    also read."""
     return count_form(FormSpec.diagonal(coeffs), n_max)
 
 
 def count_two_form(A, B, n):
-    """Ordered integer pairs with A x^2 + B y^2 = n, gcd(A, B) = 1, read off
+    """Ordered integer pairs with A x^2 + B y^2 = n, any A, B >= 1, read off
     count_diagonal's table at n's bucket."""
     return count_diagonal((A, B), _bucket(n)).count(n)
 
 
-def affine_shift(A, B, C, D, E):
-    """The k with A x^2 + B y^2 + C x + D y + E = n exactly when
-    A (x + C/2A)^2 + B (y + D/2B)^2 = n + k, that is C^2/4A + D^2/4B - E.
-
-    Requires 2A | C and 2B | D, so that the completed squares are integral.
-    """
-    if A < 1 or B < 1:
-        raise ValueError("A and B must be >= 1")
-    if C % (2 * A) != 0 or D % (2 * B) != 0:
-        raise ValueError("affine shift requires 2A | C and 2B | D")
-    return (C * C) // (4 * A) + (D * D) // (4 * B) - E
-
-
 def count_affine(A, B, C, D, E, n):
-    """Ordered integer pairs with A x^2 + B y^2 + C x + D y + E = n.
-
-    Requires 2A | C and 2B | D (integer square completion) and gcd(A, B) = 1.
-    """
-    shifted = n + affine_shift(A, B, C, D, E)
-    return count_two_form(A, B, shifted) if shifted >= 0 else 0
+    """Ordered integer pairs with A x^2 + B y^2 + C x + D y + E = n, for any
+    A, B >= 1, any integers C, D, E and any integer n (0 below the form's
+    least value): a read of the count_form table of FormSpec.affine up to
+    n's bucket, from minus the bucket when n < 0, so that the n below 0
+    in one bucket share a table as those above 0 do."""
+    b = _bucket(n)
+    return count_form(FormSpec.affine(A, B, C, D, E), b, -b if n < 0 else 0).count(n)
 
 
 def integer_roots(coeffs, target):
@@ -219,7 +205,8 @@ def integer_roots(coeffs, target):
 
 
 def count_poly_composed(poly, A, B, C, D, E, n):
-    """Counts of the affine form evaluated at P(t) = n over integer roots t."""
+    """Counts of the affine form at the targets t, summed over the integer
+    roots t of P(t) = n, negative roots included: count_affine at each."""
     return sum(count_affine(A, B, C, D, E, t) for t in integer_roots(poly, n))
 
 
@@ -248,14 +235,19 @@ def count_power_sum(kind, n):
     """Ordered pairs (k, n-k) with both parts hit by the indicator kind."""
     if n < 0:
         raise ValueError("count_power_sum requires n >= 0")
-    arith.indicator(kind, 0)  # refuses nu < 1, coefficients < 1 and unknown tags before enumerating
-    tag = kind[0]
+    tag = kind[0]  # refused before enumerating: at nu < 1 or a constant poly no value passes n
     if tag == "square":
         key = ("power", 2)
     elif tag == "power":
+        if kind[1] < 1:
+            raise ValueError("count_power_sum requires nu >= 1")
         key = ("power", kind[1])
-    else:
+    elif tag == "poly":
         key = ("poly", tuple(kind[1]))  # a list of coefficients is not hashable
+        if len(key[1]) < 2 or min(key[1]) < 1:
+            raise ValueError("count_power_sum requires at least two polynomial coefficients, all >= 1")
+    else:
+        raise ValueError(f"unknown indicator kind {tag!r}")
     vals, hits = _indicator_values(key, _bucket(n))
     return sum(1 for v in vals[:bisect_right(vals, n)] if n - v in hits)
 
@@ -489,11 +481,6 @@ def exp_method_count(terms, n_max):
         raise ValueError("need at least one (k, h) term")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    for k, h in terms:
-        if not (k > abs(h) > 0):
-            raise ValueError(f"exp route requires k > |h| > 0, got ({k}, {h})")
-        if (k + h) % 2 == 0:
-            raise ValueError(f"exp route requires opposite parity, got ({k}, {h})")
     counts = theta._exp_coeffs(terms, n_max + 1)[::2]
     if not all(isinstance(c, int) for c in counts):
         raise ArithmeticError("exp transform produced a non-integer count")

@@ -216,7 +216,13 @@ def _fkh_sums(terms, n_max):
 def _exp_coeffs(terms, order):
     """Half-unit coefficients below 2*order of exp(-sum (-1)^n sum_l f_(k_l,h_l)(n) q^n)
     by exp_neg's recurrence k e_k = -sum_j j a_j e_(k-j), whose weight j a_j
-    at j = 2n is 2 (-1)^n n sum_l f(n), an integer straight from the sieve."""
+    at j = 2n is 2 (-1)^n n sum_l f(n), an integer straight from the sieve.
+    Each term needs k > |h| > 0 with k + h odd."""
+    for k, h in terms:
+        if not (k > abs(h) > 0):
+            raise ValueError(f"exp route requires k > |h| > 0, got ({k}, {h})")
+        if (k + h) % 2 == 0:
+            raise ValueError(f"exp route requires k + h odd, got ({k}, {h})")
     m = 2 * order
     sums = _fkh_sums(terms, order - 1)
     w = [0] * m
@@ -227,12 +233,8 @@ def _exp_coeffs(terms, order):
 def general_theta_via_exp(k, h, order):
     """General theta as exp(-(sum (-1)^n f_kh(n) q^n)).
 
-    Valid when k > |h| > 0 and k + h is odd.
+    Valid when k > |h| > 0 and k + h is odd; _exp_coeffs checks both.
     """
-    if not (k > abs(h) > 0):
-        raise ValueError("exp route requires k > |h| > 0")
-    if (k + h) % 2 == 0:
-        raise ValueError("exp route requires k and h of opposite parity")
     if order < 1:
         raise ValueError("order must be >= 1")
     return HalfLaurentSeries(0, _exp_coeffs(((k, h),), order), 2 * order)

@@ -90,6 +90,16 @@ def test_affine_names_the_flag_that_needs_two_integers(args, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"qforms: {message}\n")
 
 
+def test_power_with_nu_below_1_names_count_power_sum():
+    proc = run_cli("count", "power", "--nu", "0", "--n", "1..3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "qforms: count_power_sum requires nu >= 1\n")
+
+
+def test_expmethod_names_the_bad_term():
+    proc = run_cli("count", "expmethod", "--terms", "3:1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "qforms: exp route requires k + h odd, got (3, 1)\n")
+
+
 def test_fkh_table_with_k_below_1_names_f_kh():
     proc = run_cli("table", "fkh", "--k", "0", "--h", "1", "--n", "1..3")
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "qforms: f_kh requires k >= 1\n")
@@ -114,21 +124,22 @@ def test_closed_tri_refuses_nonneg_domain():
 
 def test_affine_range_reads_one_diagonal_table(monkeypatch, capsys):
     ns = (-3, 0, 3, 1999)
-    want = [repcount.count_affine(1, 2, 2, 4, 0, n) for n in ns]
+    ref = repcount.oracle_count(repcount.FormSpec.affine(1, 2, 2, 4, 0), 2000, -3)
+    want = [ref.count(n) for n in ns]
     calls = []
     count_form = repcount.count_form
 
-    def counted(spec, n_max):
-        calls.append((spec, n_max))
-        return count_form(spec, n_max)
+    def counted(spec, n_max, lo=0):
+        calls.append((spec, n_max, lo))
+        return count_form(spec, n_max, lo)
 
     monkeypatch.setattr(repcount, "count_form", counted)
     assert cli.main(["count", "affine", "--diag", "1,2", "--lin", "2,4", "--n=-3..2000"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 2004
     assert [rows[n + 3] for n in ns] == [f"{n},{c},closed" for n, c in zip(ns, want)]
-    # the targets below 0 are folded into the constant of one table
-    assert calls == [(repcount.FormSpec(((1, 2), (2, 4)), constant=3), 2003)]
+    # one table over the whole window, the constant as given
+    assert calls == [(repcount.FormSpec(((1, 2), (2, 4))), 2000, -3)]
 
 
 @pytest.mark.parametrize("args,rows", [

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -91,6 +92,45 @@ def test_count_form_matches_oracle():
         assert t.counts == oracle_count(spec, n_max).counts, (spec, n_max)
 
 
+@pytest.mark.parametrize("spec", [
+    FormSpec.affine(1, 2, 3, -2, 0),
+    FormSpec(((1, 2), (3, 6)), scale=2, constant=-5),
+    FormSpec(((1, 3), (1, -5), (2, 0)), scale=2, constant=1, convention="nonneg"),
+    FormSpec(((2, 1), (1, -3)), constant=7),
+    FormSpec(((1, -5), (1, 0)), constant=-9),
+], ids=["affine", "scale-2", "nonneg", "constant>0", "constant<0"])
+def test_count_form_window_below_0_equals_oracle(spec):
+    for lo, hi in ((-30, 40), (-12, -1), (-1, 0), (-7, -7)):
+        t = count_form(spec, hi, lo)
+        assert (t.spec, t.n_range, t.method) == (spec, range(lo, hi + 1), "series")
+        assert t.counts == oracle_count(spec, hi, lo).counts, (lo, hi)
+
+
+def test_count_form_window_wholly_below_the_minimum_is_zero():
+    spec = FormSpec(((1, 0), (2, 4)), constant=9)  # least value 9 - 2 = 7
+    t = count_form(spec, 6, -20)
+    assert t.counts == (0,) * 27 == oracle_count(spec, 6, -20).counts
+    assert count_form(spec, 7, -20).count(7) == 1 == oracle_count(spec, 7, -20).count(7)
+
+
+def test_count_form_window_from_lo_at_least_0_is_the_tail_of_the_full_table():
+    rng = random.Random(20261020)
+    for _ in range(40):
+        spec = _random_spec(rng)
+        full = count_form(spec, 60)
+        for lo in (0, 1, rng.randint(2, 59), 60):
+            t = count_form(spec, 60, lo)
+            assert (t.n_range, t.counts) == (range(lo, 61), full.counts[lo:]), (spec, lo)
+
+
+def test_count_form_refuses_an_empty_window():
+    # count_form(spec, -1) is test_negative_sizes_are_refused
+    spec = FormSpec.diagonal([1, 1])
+    with pytest.raises(ValueError, match=r"^empty window -3\.\.-5$"):
+        count_form(spec, -5, -3)
+    assert count_form(spec, -1, -3).counts == (0, 0, 0)
+
+
 def r2_product(coeffs, n_max):
     """prod_k sum_m r2(m) q^(A_k m) to q^n_max: theta_3(q^A_k)^2 over the A_k,
     the square of the diagonal form's theta series."""
@@ -168,8 +208,12 @@ def test_count_two_form_values():
 
 
 def test_count_two_form_requires_coprime():
-    with pytest.raises(ValueError):
-        count_two_form(2, 2, 4)
+    # any A, B >= 1 are counted, a common factor included
+    assert count_two_form(2, 2, 4) == 4
+    for A, B in ((2, 2), (2, 4), (3, 6), (4, 6)):
+        t = oracle_count(FormSpec.two_form(A, B), 100)
+        for n in range(101):
+            assert count_two_form(A, B, n) == t.count(n), (A, B, n)
 
 
 def test_count_two_form_matches_oracle():
@@ -188,8 +232,12 @@ def test_count_diagonal_values():
 
 
 def test_count_diagonal_requires_coprime_list():
-    with pytest.raises(ValueError):
-        count_diagonal([2, 4], 10)
+    # any coefficients >= 1 are counted, a common factor included; FormSpec refuses the rest
+    for coeffs in ([2, 4], [2, 2], [2, 4, 6], [3, 3, 3, 3]):
+        assert count_diagonal(coeffs, 200).counts == oracle_count(FormSpec.diagonal(coeffs), 200).counts, coeffs
+    for coeffs in ([], [0, 1], [1, -2]):
+        with pytest.raises(ValueError, match="^need at least one term, each with a_l >= 1$"):
+            count_diagonal(coeffs, 10)
 
 
 def test_count_diagonal_two_vars_is_r2():
@@ -247,8 +295,19 @@ def test_count_affine_zero_shift_is_two_form():
 
 
 def test_count_affine_divisibility_precondition():
-    with pytest.raises(ValueError):
-        count_affine(1, 1, 1, 0, 0, 5)
+    # any C, D, E and any integer n, 2A | C or not
+    assert count_affine(1, 1, 1, 0, 0, 5) == 0  # x^2 + x is even, so x^2 + x + y^2 = 5 needs y odd
+    for args in ((1, 1, 1, 0, 0), (2, 3, 1, -5, 4), (1, 2, 3, 1, -7), (2, 4, 0, 0, 0), (3, 1, -5, 7, 3)):
+        t = oracle_count(FormSpec.affine(*args), 40, -20)
+        for n in range(-20, 41):
+            assert count_affine(*args, n) == t.count(n), (args, n)
+
+
+def test_count_affine_below_0_reads_one_table_per_bucket():
+    count_form.cache_clear()
+    for n in range(-15, 0):  # every bucket is 16
+        count_affine(1, 2, 3, -2, 0, n)
+    assert count_form.cache_info().misses == 1
 
 
 def test_count_affine_matches_oracle():
@@ -265,6 +324,15 @@ def test_count_poly_composed_square_argument():
 def test_count_poly_composed_identity_polynomial():
     for n in range(30):
         assert count_poly_composed((0, 1), 1, 1, 0, 0, 0, n) == count_affine(1, 1, 0, 0, 0, n)
+
+
+def test_count_poly_composed_reads_negative_roots():
+    # P(t) = -t: the root of P(t) = n is t = -n, where x^2 + 3x + y^2 takes
+    # the values -2 (twice), 0 (twice), ...
+    for n in range(-10, 10):
+        assert count_poly_composed((0, -1), 1, 1, 3, 0, 0, n) == count_affine(1, 1, 3, 0, 0, -n), n
+    assert count_poly_composed((0, -1), 1, 1, 3, 0, 0, 2) == 2
+    assert count_poly_composed((0, -1), 1, 1, 3, 0, 0, 3) == 0
 
 
 def test_count_poly_composed_no_integer_root():
@@ -290,9 +358,13 @@ def test_count_power_sum_zero():
 def test_count_power_sum_refuses_bad_kinds():
     # refused before the values are enumerated: at nu = 0, m**nu never exceeds n
     # and at a constant polynomial, A(m) never does
-    for kind in (("power", 0), ("power", -1), ("poly", (0,)), ("poly", (1,))):
+    nu = "count_power_sum requires nu >= 1"
+    poly = "count_power_sum requires at least two polynomial coefficients, all >= 1"
+    for kind, message in ((("power", 0), nu), (("power", -1), nu), (("poly", (0,)), poly),
+                          (("poly", (1,)), poly), (("poly", (0, 1)), poly), (("poly", [1, 1, -2]), poly),
+                          (("cube",), "unknown indicator kind 'cube'")):
         for _ in range(2):  # a refusal is never cached, so the second call raises too
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 count_power_sum(kind, 3)
 
 
@@ -684,6 +756,19 @@ def test_fkh_sieve_equals_per_n_f_kh():
 def test_exp_method_at_a_2k_plus_1_length_matches_oracle():
     terms = ((3, -2), (3, 2))
     assert exp_method_count(terms, 1024).counts == oracle_count(FormSpec(terms), 1024).counts
+
+
+@pytest.mark.parametrize("k,h,message", [
+    (3, 1, "exp route requires k + h odd, got (3, 1)"),
+    (4, 2, "exp route requires k + h odd, got (4, 2)"),
+    (2, 0, "exp route requires k > |h| > 0, got (2, 0)"),
+    (1, 2, "exp route requires k > |h| > 0, got (1, 2)"),
+    (3, -3, "exp route requires k > |h| > 0, got (3, -3)")])
+def test_exp_preconditions_are_one_check_for_both_entry_points(k, h, message):
+    for call in (lambda: theta.general_theta_via_exp(k, h, 20),
+                 lambda: exp_method_count(((2, 1), (k, h)), 20)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_exp_method_preconditions():
