@@ -230,10 +230,7 @@ def _theta_series(args):
 
 def _theta_rows(args):
     s = theta.series(_theta_series(args), args.order)
-    rows = []
-    for e in s.support():
-        c = Fraction(s.coeff(e))
-        rows.append((e, c.numerator, c.denominator))
+    rows = [(e, c.numerator, c.denominator) for e, c in enumerate(s.coeffs, s.base) if c]
     return {"theta": args.kind, "order": args.order}, rows, "exact", None
 
 

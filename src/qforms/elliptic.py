@@ -189,8 +189,8 @@ def _log_series_rhs(s, x):
     """-d^2/dx^2 log s at q = exp(-2x), from the exact log coefficients;
     a half-unit exponent e contributes -e^2 L_e exp(-e x)."""
     ls = s.log()
-    return math.fsum(-e * e * float(ls.coeff(e)) * math.exp(-e * x)
-                     for e in ls.support() if e > 0)
+    return math.fsum(-e * e * float(c) * math.exp(-e * x)
+                     for e, c in enumerate(ls.coeffs, ls.base) if c and e > 0)
 
 
 def sinh_identity_check(which, x, X=None, k=None, h=None):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import arith
 from .arith import divisor_sum, divisors
-from .series import convolve, power
+from .series import _window, convolve, power
 from . import theta
 
 
@@ -109,17 +109,23 @@ def oracle_count(spec, n_max, lo=0):
     return RepTable(spec, ns, tuple(dist.get(s * n - c, 0) for n in ns), "oracle")
 
 
-@lru_cache(maxsize=64)
 def count_form(spec, n_max, lo=0):
     """Counts of spec over the targets lo..n_max from its generating
     function, the series twin of oracle_count; lo may be negative.
 
-    Each distinct term a x^2 + b x contributes one lattice sum, shifted to
-    start at the term's minimum; a term repeated k times enters as its k-th
-    power.  The count at n is the product's coefficient at s n - c, less
+    Each distinct term a x^2 + b x contributes one theta._lattice list,
+    which starts at the term's minimum; a term repeated k times enters as
+    its k-th power, and the lists are multiplied as lists, with no series
+    built.  The count at n is the product's coefficient at s n - c, less
     the sum of the minima, and 0 where that exponent is negative: below
-    every value of the form.
+    every value of the form.  Tables are cached in _count_form under
+    (spec, n_max, lo) however lo is passed, so one table has one slot.
     """
+    return _count_form(spec, n_max, lo)
+
+
+@lru_cache(maxsize=64)
+def _count_form(spec, n_max, lo):
     if n_max < lo:
         raise ValueError("n_max must be nonnegative" if lo == 0 else f"empty window {lo}..{n_max}")
     terms = Counter(spec.terms)
@@ -131,11 +137,10 @@ def count_form(spec, n_max, lo=0):
     prod = []
     if top >= 0:
         for (a, b), k in terms.items():
-            lat = theta._lattice(top + 1 + mins[a, b], a, b, nonneg=nonneg)
-            f = power(lat.coeffs, k, top + 1)  # lat starts at its minimum, mins[a, b]
+            lat = theta._lattice(top + 1 + mins[a, b], a, b, nonneg=nonneg)  # from mins[a, b] up
+            f = power(lat, k, top + 1)
             prod = convolve(prod, f, top + 1) if prod else f
-    skip = max(0, -start)  # targets below every value of the form count 0
-    counts = tuple(([0] * skip + prod)[start + skip : top + skip + 1 : spec.scale])
+    counts = tuple(_window(prod, 0, start, top + 1)[:: spec.scale])  # 0 below every value of the form
     return RepTable(spec, range(lo, n_max + 1), counts, "series")
 
 
@@ -171,9 +176,10 @@ def count_diagonal(coeffs, n_max):
 
 
 def count_two_form(A, B, n):
-    """Ordered integer pairs with A x^2 + B y^2 = n, any A, B >= 1, read off
-    count_diagonal's table at n's bucket."""
-    return count_diagonal((A, B), _bucket(n)).count(n)
+    """Ordered integer pairs with A x^2 + B y^2 = n, any A, B >= 1 and any
+    integer n (0 below 0): count_affine with C = D = E = 0, which reads
+    the table count_diagonal((A, B), _bucket(n)) shares for n >= 0."""
+    return count_affine(A, B, 0, 0, 0, n)
 
 
 def count_affine(A, B, C, D, E, n):
@@ -377,11 +383,10 @@ def tri_reduce(m, N, n):
 
 
 def r_N_squares(N, n_max):
-    """r_N(n): lattice points on spheres sum x_k^2 = n, from theta3^N."""
+    """r_N(n): lattice points on spheres sum x_k^2 = n, from theta3^N, as
+    count_form of the N-fold diagonal, which refuses n_max < 0."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     return count_form(FormSpec.diagonal([1] * N), n_max)
 
 

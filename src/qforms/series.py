@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import mul, sub
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -237,6 +237,16 @@ def _limbs(wide, narrow, lo, hi):
     return [int.from_bytes(rows[i : i + step], "little", signed=True) for i in range(0, step * m, step)]
 
 
+def _window(c, first, lo, hi):
+    """The entries of the list c, entry 0 at exponent first, for the
+    exponents lo <= e < hi, with 0 where c has none; empty when hi <= lo.
+    The one read of a zero-padded window: sums, comparisons, padded powers
+    and count tables all go through it."""
+    head = min(max(first - lo, 0), max(hi - lo, 0))
+    body = list(c[max(lo - first, 0) : max(hi - first, 0)])
+    return [0] * head + body + [0] * (hi - lo - head - len(body))
+
+
 def power(f, N, n):
     """First n coefficients of f^N (N >= 1), by square-and-multiply over convolve."""
     if N < 1:
@@ -249,7 +259,7 @@ def power(f, N, n):
             acc = f if acc is None else convolve(acc, f, n)
         N >>= 1
         if not N:
-            return list(acc[:n]) + [0] * (n - len(acc))
+            return _window(acc, 0, 0, n)
         f = convolve(f, f, n)
 
 
@@ -319,13 +329,8 @@ class HalfLaurentSeries:
 
     def trim(self):
         """Drop leading zero coefficients (raises base, same validity)."""
-        i = 0
-        n = len(self.coeffs)
-        while i < n - 1 and self.coeffs[i] == 0:
-            i += 1
-        if i == 0:
-            return self
-        return HalfLaurentSeries(self.base + i, self.coeffs[i:], self.order)
+        i = next((i for i, c in enumerate(self.coeffs) if c), len(self.coeffs) - 1)
+        return HalfLaurentSeries(self.base + i, self.coeffs[i:], self.order) if i else self
 
     # -- ring operations -----------------------------------------------
 
@@ -336,16 +341,8 @@ class HalfLaurentSeries:
         base = min(self.base, other.base)
         if order <= base:
             return HalfLaurentSeries.zero(order)
-        out = [0] * (order - base)
-        for s in (self, other):
-            lo = s.base - base
-            for i, c in enumerate(s.coeffs):
-                j = lo + i
-                if j >= len(out):
-                    break
-                if c:
-                    out[j] = out[j] + c
-        return HalfLaurentSeries(base, out, order)
+        a, b = (_window(s.coeffs, s.base, base, order) for s in (self, other))
+        return HalfLaurentSeries(base, map(add, a, b), order)
 
     def __neg__(self):
         return HalfLaurentSeries(self.base, [-c for c in self.coeffs], self.order)
@@ -372,9 +369,7 @@ class HalfLaurentSeries:
             return self
         base = self.base * m
         out = [0] * (self.order * m - base)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * m] = c
+        out[::m] = self.coeffs
         return HalfLaurentSeries(base, out, self.order * m)
 
     def __mul__(self, other):
@@ -446,12 +441,8 @@ class HalfLaurentSeries:
         """Equal iff coefficients agree everywhere both series are valid."""
         if not isinstance(other, HalfLaurentSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        lo = min(self.base, other.base)
-        for e in range(lo, order):
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        lo, hi = min(self.base, other.base), min(self.order, other.order)
+        return _window(self.coeffs, self.base, lo, hi) == _window(other.coeffs, other.base, lo, hi)
 
     __hash__ = None
 
@@ -750,7 +741,7 @@ def exp_neg(a):
         raise ValueError("exp_neg requires zero constant term and no negative exponents")
     if t.order < 1:
         raise ValueError("exp_neg needs validity at exponent 0")
-    coeffs = [0] * t.base + list(t.coeffs)
+    coeffs = _window(t.coeffs, t.base, 0, t.order)
     w = [_div(-j * v.numerator, v.denominator) for j, v in enumerate(coeffs)]  # -j*a_j, an int when integral
     return HalfLaurentSeries(0, _exp_recurrence(w), t.order)
 

@@ -107,10 +107,9 @@ def _zeros(n):
 
 
 def _lattice(order_half, a, b, alternating=False, nonneg=False):
-    """Sum of (-1)^n (when alternating) q^((a n^2 + b n)/2) over the integers
-    n (n >= 0 when nonneg), valid below half-unit exponent order_half >
-    _least(a, b, nonneg).  Terms that cancel are dropped, except at exponent
-    0.  The coefficients fill one list from the least exponent on, allocated
+    """Coefficients of the sum of (-1)^n (when alternating) q^((a n^2 + b n)/2)
+    over the integers n (n >= 0 when nonneg) at the half-unit exponents
+    _least(a, b, nonneg) <= e < order_half, as one list.  It is allocated
     before any n is enumerated, so a span past memory is refused at once."""
     least = _least(a, b, nonneg)
     c = _zeros(order_half - least)
@@ -118,18 +117,21 @@ def _lattice(order_half, a, b, alternating=False, nonneg=False):
         e = a * n * n + b * n
         if e < order_half and (n >= 0 or not nonneg):
             c[e - least] += -1 if alternating and n % 2 else 1
-    base = next((e for e, v in enumerate(c, least) if v or e == 0), order_half - 1)
-    return HalfLaurentSeries(base, c[base - least :], order_half)
+    return c
 
 
 def series(kind, order):
-    """Exact truncated series for the kind, valid below q^order."""
+    """Exact truncated series for the kind, valid below q^order.  A lattice
+    kind is the one place a _lattice list becomes a series, whose base is
+    the least of 0 and the exponents with a nonzero coefficient."""
     if order < 1:
         raise ValueError("order must be >= 1")
     oh = 2 * order
     tag = kind.tag
     if tag == "lattice":
-        return _lattice(oh, *kind.params)
+        c = _lattice(oh, *kind.params)  # its last entry is at oh - 1
+        base = next(e for e, v in enumerate(c, oh - len(c)) if v or e == 0)
+        return HalfLaurentSeries(base, c[base - oh :], oh)
     if tag == "pochhammer":
         return _from_weights(_log_weights(_binomials(*kind.params, oh), oh))
     if tag == "triple_product_rhs":
@@ -250,7 +252,7 @@ def triple_product_check(p, order):
         raise ValueError("p must be >= 0")
     z = 2 * p + 1
     lhs1 = series(general(1, z), order)
-    fq2 = _lattice(2 * order, 6, -2, alternating=True)
+    fq2 = series(alt_general(3, -1), order)
     poch = series(pochhammer(4, 4, True), order)
     rhs1 = (fq2 * poch.square()).shift(-2 * p * (p + 1)).scale(2)
     if lhs1 != rhs1:

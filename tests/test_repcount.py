@@ -263,11 +263,11 @@ def test_count_diagonal_is_count_form_of_the_diagonal_spec():
         t = count_diagonal(c, 300)
         assert (t.spec, t.method) == (FormSpec.diagonal(c), "series")
         assert t.counts == count_form(FormSpec.diagonal(c), 300).counts
-    count_form.cache_clear()
+    repcount._count_form.cache_clear()
     squares = r_N_squares(8, 200)
-    misses = count_form.cache_info().misses
+    misses = repcount._count_form.cache_info().misses
     assert count_diagonal([1] * 8, 200) is squares  # the table r_N_squares built
-    assert count_form.cache_info().misses == misses
+    assert repcount._count_form.cache_info().misses == misses
 
 
 def test_transforms_at_a_2k_plus_1_bucket_match_oracle():
@@ -304,10 +304,46 @@ def test_count_affine_divisibility_precondition():
 
 
 def test_count_affine_below_0_reads_one_table_per_bucket():
-    count_form.cache_clear()
+    repcount._count_form.cache_clear()
     for n in range(-15, 0):  # every bucket is 16
         count_affine(1, 2, 3, -2, 0, n)
-    assert count_form.cache_info().misses == 1
+    assert repcount._count_form.cache_info().misses == 1
+
+
+def test_one_table_has_one_cache_slot():
+    repcount._count_form.cache_clear()
+    count_two_form(1, 2, 100)
+    count_affine(1, 2, 0, 0, 0, 100)
+    count_diagonal((1, 2), 128)
+    count_form(FormSpec.two_form(1, 2), 128, lo=0)
+    info = repcount._count_form.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_count_two_form_counts_every_integer_n():
+    for A in range(1, 5):
+        for B in range(1, 5):
+            t = oracle_count(FormSpec.two_form(A, B), 60, -20)
+            for n in range(-20, 61):
+                assert count_two_form(A, B, n) == t.count(n), (A, B, n)
+
+
+def test_count_form_builds_no_series(monkeypatch):
+    built = []
+    init = series.HalfLaurentSeries.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(series.HalfLaurentSeries, "__init__", spy)
+    repcount._count_form.cache_clear()
+    for spec, n_max, lo in ((FormSpec.diagonal((1, 2, 3)), 2048, 0), (FormSpec.affine(1, 2, 3, -2, 5), 40, -20),
+                            (FormSpec.triangular_sum(1, 3, "nonneg"), 100, 0)):
+        assert count_form(spec, n_max, lo).counts == oracle_count(spec, n_max, lo).counts
+    assert built == []
+    theta.series(theta.theta3(), 5)  # the spy sees the series the lattice kinds build
+    assert len(built) == 1
 
 
 def test_count_affine_matches_oracle():

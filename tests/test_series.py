@@ -655,6 +655,96 @@ def test_inequality_detected_in_overlap():
     assert S(0, [1, 2], 2) != S(0, [1, 3], 2)
 
 
+# -- zero-padded windows ----------------------------------------------------
+
+
+def test_window_reads_each_exponent_or_zero():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(3000):
+        c = [rng.randint(-3, 3) for _ in range(rng.randint(0, 8))]
+        first, lo, hi = (rng.randint(-12, 12) for _ in range(3))
+        at = dict(enumerate(c, first))
+        want = [at.get(e, 0) for e in range(lo, hi)]
+        assert series._window(c, first, lo, hi) == want, (c, first, lo, hi)
+        assert series._window(tuple(c), first, lo, hi) == want, (c, first, lo, hi)
+        if hi <= lo:
+            seen.add("empty")
+        elif hi <= first:
+            seen.add("before")
+        elif lo >= first + len(c):
+            seen.add("after")
+        elif first <= lo and hi <= first + len(c):
+            seen.add("inside")
+        else:
+            seen.add("straddling")
+    assert seen == {"empty", "before", "after", "inside", "straddling"}
+
+
+def _loop_add(f, g):
+    """HalfLaurentSeries.__add__ as an index loop over each series."""
+    order, base = min(f.order, g.order), min(f.base, g.base)
+    if order <= base:
+        return S.zero(order)
+    out = [0] * (order - base)
+    for s in (f, g):
+        for i, c in enumerate(s.coeffs):
+            j = s.base - base + i
+            if j >= len(out):
+                break
+            if c:
+                out[j] = out[j] + c
+    return S(base, out, order)
+
+
+def _loop_eq(f, g):
+    return all(f.coeff(e) == g.coeff(e) for e in range(min(f.base, g.base), min(f.order, g.order)))
+
+
+def _loop_trim(f):
+    i = 0
+    while i < len(f.coeffs) - 1 and f.coeffs[i] == 0:
+        i += 1
+    return S(f.base + i, f.coeffs[i:], f.order)
+
+
+def _loop_stretch(f, m):
+    out = [0] * ((f.order - f.base) * m)
+    for i, c in enumerate(f.coeffs):
+        if c:
+            out[i * m] = c
+    return S(f.base * m, out, f.order * m)
+
+
+def _fields(f):
+    return f.base, f.order, f.coeffs, [type(c) for c in f.coeffs]
+
+
+def test_window_reads_match_the_index_loops():
+    rng = random.Random(20261021)
+    values = (0, 0, 0, 1, -2, 5, Fraction(1, 2), Fraction(-3, 4))
+    seen = set()
+
+    def draw():
+        base = rng.randint(-6, 6)
+        zero = rng.random() < 0.1
+        coeffs = [0 if zero else rng.choice(values) for _ in range(rng.randint(1, 10))]
+        return S(base, coeffs, base + len(coeffs))
+
+    for _ in range(3000):
+        f, g = draw(), draw()
+        if f.order <= g.base or g.order <= f.base:
+            seen.add("disjoint")
+        if not any(f.coeffs):
+            seen.add("zero")
+        for got, want in ((f + g, _loop_add(f, g)), (f - g, _loop_add(f, -g)), (f.trim(), _loop_trim(f)),
+                          (f.stretch(3), _loop_stretch(f, 3))):
+            assert _fields(got) == _fields(want), (f, g)
+        assert (f == g) is _loop_eq(f, g) and (f == f.trim()) is _loop_eq(f, f.trim())
+        seen.add("equal" if f == g else "unequal")
+    assert seen == {"disjoint", "zero", "equal", "unequal"}
+
+
 # -- randomized round-trip properties ---------------------------------------
 
 

@@ -96,6 +96,18 @@ def test_alt_general_cancels_to_zero():
                 assert s.support() == [] and s.base == 0, (k, j, order)
 
 
+def test_lattice_is_a_list_from_the_least_exponent_and_series_sets_the_base():
+    # alt_general(1, 3): n = -1 and n = -2 both give q^-2, with opposite signs,
+    # so the list starts at -4 half-units and the series keeps its base at 0
+    c = theta._lattice(20, 2, 6, alternating=True)
+    assert type(c) is list and len(c) == 20 - theta._least(2, 6) == 24 and not any(c)
+    s = series(alt_general(1, 3), 10)
+    assert (s.base, s.coeffs, s.order) == (0, (0,) * 20, 20)
+    c = theta._lattice(20, 2, 6)
+    s = series(general(1, 3), 10)
+    assert (s.base, s.coeffs) == (-4, tuple(c)) and c[0] == 2
+
+
 def test_triangular_1_is_twice_psi():
     for order in range(1, 41):
         t, p = series(triangular(1), order), series(psi(), order).scale(2)
