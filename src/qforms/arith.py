@@ -131,12 +131,16 @@ def chi0(n):
     return -2
 
 
+def _chi_residues(k, h):
+    """The residues 0, k+h and k-h mod 2k: where chi_kh is 1."""
+    return {0, (k + h) % (2 * k), (k - h) % (2 * k)}
+
+
 def chi_kh(k, h, n):
     """1 when n = 0, k+h or k-h (mod 2k), else 0."""
     if k < 1:
         raise ValueError("chi_kh requires k >= 1")
-    r = n % (2 * k)
-    return 1 if r in (0, (k + h) % (2 * k), (k - h) % (2 * k)) else 0
+    return 1 if n % (2 * k) in _chi_residues(k, h) else 0
 
 
 def f_kh(k, h, n):
@@ -146,7 +150,7 @@ def f_kh(k, h, n):
     if k < 1:
         raise ValueError("f_kh requires k >= 1")
     m = 2 * k
-    hits = {0, (k + h) % m, (k - h) % m}  # the residues where chi_kh is 1
+    hits = _chi_residues(k, h)
     s = sum(d for d in divisors(n) if d % m in hits)
     return _ratio(s, n)
 

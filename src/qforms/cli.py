@@ -97,19 +97,22 @@ def _emit(args, spec, rows, method, header):
 # -- count -----------------------------------------------------------------
 
 
-def _pairs_oracle(spec, nu, domain, ns):
-    """The brute-force table of ordered pairs with x^nu + y^nu = n over ns."""
-    return lambda: repcount.RepTable(
-        spec, ns, tuple(repcount.oracle_odd_power_pairs(nu, n, domain) for n in ns), "oracle")
+def _targets(lo, hi, least):
+    """The targets of the window lo..hi from the family's least target up;
+    a window whose top is below that target holds none and is refused."""
+    if hi < least:
+        raise ValueError("n_max must be nonnegative" if least == 0 else f"n_max must be >= {least}")
+    return range(max(lo, least), hi + 1)
 
 
 def _count_rows(args):
+    """One family's rows: a FormSpec window read once, or a closed form per
+    target, then one --verify loop against the brute-force oracle."""
     lo, hi = _parse_range(args.n)
-    fam = args.family
-    if fam in ("cubic", "quintic"):
-        lo = max(lo, 1)
-    ns = range(lo, hi + 1)
-    s = args.scale
+    fam, s = args.family, args.scale
+    ns = _targets(lo, hi, 1) if fam in ("cubic", "quintic") else range(lo, hi + 1)
+    first = lo  # where a window's table starts
+    form = closed = pairs = None  # a FormSpec window, or a closed form with its (nu, domain) oracle
     ratio = 1  # the oracle counts ratio times the value
     if fam in ("quad", "affine"):
         if not args.diag:
@@ -119,62 +122,56 @@ def _count_rows(args):
             method = args.method or ("closed" if len(coeffs) == 2 else "series")
             if method == "closed" and len(coeffs) != 2:
                 raise ValueError("closed two-square form needs exactly two coefficients")
-            # quad's table starts at 0 or later, so it refuses a target below 0
-            terms, const, first = tuple((a, 0) for a in coeffs), 0, max(lo, 0)
+            terms, const = tuple((a, 0) for a in coeffs), 0
             spec = {"family": "quad", "diag": list(coeffs), "scale": s}
         else:
             A, B = _pair(coeffs, "--diag")
             C, D = _pair(_parse_ints(args.lin), "--lin")
-            method = "closed"
-            terms, const, first = ((A, C), (B, D)), args.const, lo
+            method, terms, const = "closed", ((A, C), (B, D)), args.const
             spec = {"family": "affine", "diag": [A, B], "lin": [C, D], "const": const, "scale": s}
         form = repcount.FormSpec(terms, scale=s, constant=const)
-        table = repcount.count_form(form, hi, first)
-        vals = [table.count(n) for n in ns]
-        oracle = lambda: repcount.oracle_count(form, hi, first)
+        if fam == "quad":  # quad's table starts at 0 or later, so it refuses a target below 0
+            first = _targets(lo, hi, 0).start
     elif fam == "tri":
         m, N = args.m, args.vars
         method = args.method or "series"
-        if method == "closed":
-            if args.domain == "nonneg":
-                raise ValueError("--method closed counts lattice tuples; --domain nonneg needs --method series")
-            vals = [repcount.tri_N_closed(m, N, n) for n in ns]
+        spec = {"family": "tri", "m": m, "vars": N, "domain": args.domain}
+        if method == "series":
+            form = repcount.FormSpec.triangular_sum(m, N, args.domain)
+            first = _targets(lo, hi, 0).start
+        elif args.domain == "nonneg":
+            raise ValueError("--method closed counts lattice tuples; --domain nonneg needs --method series")
+        else:
+            closed = lambda n: repcount.tri_N_closed(m, N, n)
             if m % 2 == 1 and N == 4:
                 ratio = 16  # the odd-m closed form carries 1/16 of the lattice count
-        else:
-            table = repcount.tri_count(m, N, hi, args.domain)
-            vals = [table.count(n) for n in ns]
-        spec = {"family": "tri", "m": m, "vars": N, "domain": args.domain}
-        oracle = lambda: repcount.oracle_count(repcount.FormSpec.triangular_sum(m, N, args.domain), hi)
     elif fam == "power":
-        method = "closed"
-        vals = [repcount.count_power_sum(("power", args.nu), n) for n in ns]
-        spec = {"family": "power", "nu": args.nu}
-        oracle = _pairs_oracle(spec, args.nu, "nonneg", ns)
+        method, spec, pairs = "closed", {"family": "power", "nu": args.nu}, (args.nu, "nonneg")
+        closed = lambda n: repcount.count_power_sum(("power", args.nu), n)
     elif fam == "cubic":
-        method = "closed"
-        vals = [repcount.cubic_count(n) for n in ns]
-        spec = {"family": "cubic"}
-        oracle = _pairs_oracle(spec, 3, "integer", ns)
+        method, spec, pairs = "closed", {"family": "cubic"}, (3, "integer")
+        closed = repcount.cubic_count
     elif fam == "quintic":
-        method = args.variant
-        vals = [repcount.quintic_count(n, args.variant) for n in ns]
-        spec = {"family": "quintic", "variant": args.variant}
-        oracle = _pairs_oracle(spec, 5, "nonneg", ns)
+        method, spec, pairs = args.variant, {"family": "quintic", "variant": args.variant}, (5, "nonneg")
+        closed = lambda n: repcount.quintic_count(n, args.variant)
     else:  # expmethod
         if not args.terms:
             raise ValueError("expmethod needs --terms")
         terms = _parse_terms(args.terms)
-        method = "transform"
-        table = repcount.exp_method_count(terms, hi)
-        vals = [table.count(n) for n in ns]
-        oracle = lambda: repcount.oracle_count(repcount.FormSpec(terms), hi)
-        spec = {"family": "expmethod", "terms": [list(t) for t in terms]}
+        method, spec = "transform", {"family": "expmethod", "terms": [list(t) for t in terms]}
 
+    if closed:
+        vals = [closed(n) for n in ns]
+    else:  # exp_method_count checks its terms before FormSpec sees them: the table carries the spec
+        table = repcount.exp_method_count(terms, hi) if form is None else repcount.count_form(form, hi, first)
+        vals, form = [table.count(n) for n in ns], table.spec
     if args.verify == "oracle":
-        ref = oracle()
-        for n, v in zip(ns, vals):
-            want = ref.count(n)
+        if pairs:
+            ref = [repcount.oracle_odd_power_pairs(pairs[0], n, pairs[1]) for n in ns]
+        else:  # tri's closed route builds its FormSpec only here, past its own refusals
+            form = form or repcount.FormSpec.triangular_sum(args.m, args.vars)
+            ref = repcount.oracle_count(form, hi, first).counts
+        for n, v, want in zip(ns, vals, ref):
             if ratio * v != want:
                 shown = v if ratio == 1 else f"{ratio} * {v}"
                 raise VerifyMismatch(f"{fam}: value {shown} at n={n} but oracle gives {want}")
@@ -186,28 +183,25 @@ def _count_rows(args):
 
 def _table_rows(args):
     lo, hi = _parse_range(args.n)
-    kind = args.kind
+    kind, k, h = args.kind, args.k, args.h
+    if kind == "classnumber":
+        rows = [(-m, arith.class_number(-m)) for m in _targets(lo, hi, 3) if m % 4 in (0, 3)]
+        return {"table": "classnumber"}, rows, "exact", None
     if kind == "sigma":
-        rows = [(n, arith.sigma_star(args.a, n)) for n in range(max(lo, 1), hi + 1)]
-        spec = {"table": "sigma", "a": args.a}
-    elif kind == "chi" and args.k is not None:
-        if args.h is None:
-            raise ValueError("chi with --k needs --h")
-        rows = [(n, arith.chi_kh(args.k, args.h, n)) for n in range(max(lo, 1), hi + 1)]
-        spec = {"table": "chi", "k": args.k, "h": args.h}
+        spec, f = {"table": "sigma", "a": args.a}, lambda n: arith.sigma_star(args.a, n)
+    elif kind == "chi" and k is None and h is None:
+        spec, f = {"table": "chi", "kind": "chi0"}, arith.chi0
     elif kind == "chi":
-        rows = [(n, arith.chi0(n)) for n in range(max(lo, 1), hi + 1)]
-        spec = {"table": "chi", "kind": "chi0"}
-    elif kind == "classnumber":
-        rows = [(-m, arith.class_number(-m))
-                for m in range(max(lo, 3), hi + 1) if m % 4 in (0, 3)]
-        spec = {"table": "classnumber"}
+        if h is None:
+            raise ValueError("chi with --k needs --h")
+        if k is None:
+            raise ValueError("chi with --h needs --k")
+        spec, f = {"table": "chi", "k": k, "h": h}, lambda n: arith.chi_kh(k, h, n)
     else:  # fkh
-        if args.k is None or args.h is None:
+        if k is None or h is None:
             raise ValueError("fkh needs --k and --h")
-        rows = [(n, arith.f_kh(args.k, args.h, n)) for n in range(max(lo, 1), hi + 1)]
-        spec = {"table": "fkh", "k": args.k, "h": args.h}
-    return spec, rows, "exact", None
+        spec, f = {"table": "fkh", "k": k, "h": h}, lambda n: arith.f_kh(k, h, n)
+    return spec, [(n, f(n)) for n in _targets(lo, hi, 1)], "exact", None
 
 
 # -- theta -----------------------------------------------------------------

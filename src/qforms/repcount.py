@@ -53,6 +53,9 @@ class FormSpec:
 
     @classmethod
     def triangular_sum(cls, m, N, convention="lattice"):
+        """N terms t_m(x) = (x^2 + m x)/2; refuses m < 0 and N < 1."""
+        if m < 0 or N < 1:
+            raise ValueError("need m >= 0 and N >= 1")
         return cls(tuple((1, m) for _ in range(N)), scale=2, convention=convention)
 
 
@@ -361,8 +364,6 @@ def quintic_count(n, variant="amended"):
 
 def tri_count(m, N, n_max, convention="lattice"):
     """Counts of sum t_m(x_k) = n (N variables): count_form of the triangular sum."""
-    if m < 0 or N < 1:
-        raise ValueError("need m >= 0 and N >= 1")
     return count_form(FormSpec.triangular_sum(m, N, convention), n_max)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add, sub
 
+from . import arith
 from .series import HalfLaurentSeries, _exp_recurrence
 
 
@@ -202,11 +203,12 @@ def f_neg_product(order):
 def _fkh_sums(terms, n_max):
     """n times sum_l f_(k_l,h_l)(n) for 0 <= n <= n_max: one sieve adding
     d sum_l chi_(k_l,h_l)(d) at the multiples of each d, laid over each
-    term's residues d = 0, k+h, k-h (mod 2k), where chi_kh is 1."""
+    term's residues d = 0, k+h, k-h (mod 2k), where chi_kh is 1:
+    arith._chi_residues."""
     w = _zeros(n_max + 1)
     for k, h in terms:
         m = 2 * k
-        for r in {0, (k + h) % m, (k - h) % m}:
+        for r in arith._chi_residues(k, h):
             w[r or m :: m] = map(add, w[r or m :: m], range(r or m, n_max + 1, m))
     out = [0] * (n_max + 1)
     for d, wd in enumerate(w):

@@ -223,6 +223,22 @@ def test_f_kh_names_itself_when_k_is_below_1():
         f_kh(0, 1, 1)
 
 
+def test_chi_residues_are_the_residues_where_chi_kh_is_1():
+    for k in range(1, 9):
+        for h in range(-k - 2, k + 3):
+            want = {r for r in range(2 * k) if r == 0 or (r - k) % (2 * k) in (h % (2 * k), -h % (2 * k))}
+            assert arith._chi_residues(k, h) == want
+
+
+def test_chi_kh_f_kh_and_the_fkh_sieve_read_one_residue_set(monkeypatch):
+    # with the residue set cut to {0}, each of the three reads chi_(k,h)
+    # as the indicator of 2k | d
+    monkeypatch.setattr(arith, "_chi_residues", lambda k, h: {0})
+    assert [chi_kh(3, 2, n) for n in range(1, 13)] == [int(n % 6 == 0) for n in range(1, 13)]
+    assert [f_kh(3, 2, n) for n in (6, 12, 7)] == [1, Fraction(18, 12), 0]
+    assert theta._fkh_sums(((3, 2),), 12) == [0] * 6 + [6, 0, 0, 0, 0, 0, 18]
+
+
 def test_n_times_f_kh_is_nonnegative_integer():
     for k, h in ((2, 1), (3, 2), (5, 2), (10, 1)):
         for n in range(1, 2000):

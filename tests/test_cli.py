@@ -122,6 +122,90 @@ def test_closed_tri_refuses_nonneg_domain():
     assert proc.stderr == "qforms: --method closed counts lattice tuples; --domain nonneg needs --method series\n"
 
 
+def _bumped(table, n):
+    """table with its count at n one higher."""
+    i = n - table.n_range.start
+    counts = table.counts[:i] + (table.counts[i] + 1,) + table.counts[i + 1:]
+    return repcount.RepTable(table.spec, table.n_range, counts, table.method)
+
+
+@pytest.mark.parametrize("family,args,route,n", [
+    ("quad", ["--diag", "1,1,2"], "count_form", 7),
+    ("quad", ["--diag", "2,3", "--method", "closed"], "count_form", 1),  # the first target
+    ("affine", ["--diag", "1,2", "--lin", "2,4", "--const", "1"], "count_form", 9),
+    ("tri", ["--m", "2", "--vars", "3"], "count_form", 4),
+    ("tri", ["--m", "1", "--vars", "2", "--domain", "nonneg"], "count_form", 3),
+    ("expmethod", ["--terms", "3:-2,3:-2"], "exp_method_count", 6),
+    ("power", ["--nu", "3"], "count_power_sum", 9),
+    ("cubic", [], "cubic_count", 20),  # the last target
+    ("quintic", [], "quintic_count", 2),
+])
+def test_verify_oracle_catches_one_wrong_value_in_every_family(family, args, route, n, monkeypatch, capsys):
+    argv = ["count", family, *args, "--n", "1..20"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    v = int(rows[n - 1].split(",")[1])
+    real = getattr(repcount, route)
+    if route in ("count_form", "exp_method_count"):
+        wrong = lambda *a: _bumped(real(*a), n)
+    else:
+        wrong = lambda *a: real(*a) + (n in a)  # the target is the closed form's one int argument
+    monkeypatch.setattr(repcount, route, wrong)
+    assert cli.main([*argv, "--verify", "oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"qforms: cross-check failed: {family}: value {v + 1} at n={n} but oracle gives {v}\n")
+
+
+REFUSALS = [
+    (["count", "expmethod", "--terms", "0:1"], "exp route requires k > |h| > 0, got (0, 1)"),
+    (["count", "expmethod", "--terms", "0:1", "--n=-3..-1"], "n_max must be nonnegative"),
+    (["count", "tri", "--m=-1"], "need m >= 0 and N >= 1"),
+    (["count", "tri", "--m=-1", "--n=-3..-1"], "need m >= 0 and N >= 1"),
+    (["count", "tri", "--vars", "0"], "need m >= 0 and N >= 1"),
+    (["count", "tri", "--vars", "0", "--method", "closed"], "closed forms cover N in {3, 4} only"),
+    (["count", "tri", "--m=-1", "--method", "closed", "--verify", "oracle"], "need m >= 0 and n >= 0"),
+    (["count", "tri", "--m", "2", "--vars", "3", "--method", "closed", "--n=-3..5"], "need m >= 0 and n >= 0"),
+    (["count", "quad", "--diag", "0,1"], "need at least one term, each with a_l >= 1"),
+    (["count", "quad", "--diag", "0,1", "--n=-3..-1"], "need at least one term, each with a_l >= 1"),
+    (["count", "quad", "--diag", "1,2,3", "--method", "closed"], "closed two-square form needs exactly two coefficients"),
+    (["count", "affine", "--diag", "1,2,3"], "--diag needs two integers, got 3"),
+    (["count", "power", "--nu", "0"], "count_power_sum requires nu >= 1"),
+    (["count", "power", "--n=-3..5"], "count_power_sum requires n >= 0"),
+    (["table", "chi", "--k", "3"], "chi with --k needs --h"),
+    (["table", "chi", "--h", "2"], "chi with --h needs --k"),
+    (["table", "fkh", "--n", "0"], "fkh needs --k and --h"),
+    # a window wholly below the family's least target
+    (["count", "cubic", "--n=-5..0"], "n_max must be >= 1"),
+    (["count", "quintic", "--n", "0"], "n_max must be >= 1"),
+    (["count", "quintic", "--n", "0", "--format", "json"], "n_max must be >= 1"),
+    (["table", "sigma", "--n", "0"], "n_max must be >= 1"),
+    (["table", "chi", "--n=-3..0"], "n_max must be >= 1"),
+    (["table", "chi", "--k", "3", "--h", "1", "--n=-3..0"], "n_max must be >= 1"),
+    (["table", "fkh", "--k", "3", "--h", "1", "--n", "0"], "n_max must be >= 1"),
+    (["table", "classnumber", "--n", "1..2"], "n_max must be >= 3"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusals_exit_2_with_one_line(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"qforms: {message}\n")
+
+
+@pytest.mark.parametrize("argv,first,rows", [
+    (["count", "cubic"], "1,2,closed", 20),
+    (["count", "quintic", "--n=-4..1"], "1,2,amended", 1),
+    (["table", "sigma", "--n=-2..3"], "1,1", 3),
+    (["table", "chi", "--n", "0..2"], "1,-2", 2),
+    (["table", "fkh", "--k", "3", "--h", "2", "--n", "1"], "1,1", 1),
+    (["table", "classnumber", "--n", "1..3"], "-3,1", 1),
+])
+def test_windows_that_reach_the_least_target_keep_their_rows(argv, first, rows, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert (out[0], len(out)) == (first, rows)
+
+
 def test_affine_range_reads_one_diagonal_table(monkeypatch, capsys):
     ns = (-3, 0, 3, 1999)
     ref = repcount.oracle_count(repcount.FormSpec.affine(1, 2, 2, 4, 0), 2000, -3)

@@ -553,6 +553,14 @@ def test_oracle_odd_power_pairs_domains():
 # -- triangular families -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("m,N", [(-1, 2), (1, 0), (-3, -1)])
+def test_triangular_sum_refuses_negative_m_and_no_terms(m, N):
+    with pytest.raises(ValueError, match=r"^need m >= 0 and N >= 1$"):
+        FormSpec.triangular_sum(m, N)
+    with pytest.raises(ValueError, match=r"^need m >= 0 and N >= 1$"):
+        tri_count(m, N, -1)  # the spec checks m and N before count_form checks n_max
+
+
 def test_tri_count_examples():
     assert tri_count(1, 2, 1).count(1) == 8
     assert tri_count(0, 4, 1).count(1) == 24
