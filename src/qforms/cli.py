@@ -3,9 +3,10 @@ identity residual checks, and circle-problem scans.
 
 Output is byte-deterministic: CSV by default (count rows are
 `n,count,method` with no header; the circle scan carries its fixed
-header), JSON as an envelope {spec, rows, method, tool_version}.  Exit
-codes: 0 success, 1 usage error, 2 precondition violation, 3 failed
-cross-check against the requested oracle or tolerance.
+header), JSON as an envelope {spec, rows, method, tool_version}.  Each
+kind of a subcommand parses only the flags it reads.  Exit codes: 0
+success, 1 usage error (a flag of another kind among them), 2 precondition
+violation, 3 failed cross-check against the requested oracle or tolerance.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _count_rows(args):
     """One family's rows: a FormSpec window read once, or a closed form per
     target, then one --verify loop against the brute-force oracle."""
     lo, hi = _parse_range(args.n)
-    fam, s = args.family, args.scale
+    fam = args.family
     ns = _targets(lo, hi, 1) if fam in ("cubic", "quintic") else range(lo, hi + 1)
     first = lo  # where a window's table starts
     form = closed = pairs = None  # a FormSpec window, or a closed form with its (nu, domain) oracle
@@ -117,7 +118,7 @@ def _count_rows(args):
     if fam in ("quad", "affine"):
         if not args.diag:
             raise ValueError(f"{fam} needs --diag")
-        coeffs = _parse_ints(args.diag)
+        coeffs, s = _parse_ints(args.diag), args.scale
         if fam == "quad":
             method = args.method or ("closed" if len(coeffs) == 2 else "series")
             if method == "closed" and len(coeffs) != 2:
@@ -169,7 +170,7 @@ def _count_rows(args):
         if pairs:
             ref = [repcount.oracle_odd_power_pairs(pairs[0], n, pairs[1]) for n in ns]
         else:  # tri's closed route builds its FormSpec only here, past its own refusals
-            form = form or repcount.FormSpec.triangular_sum(args.m, args.vars)
+            form = form or repcount.FormSpec.triangular_sum(m, N)
             ref = repcount.oracle_count(form, hi, first).counts
         for n, v, want in zip(ns, vals, ref):
             if ratio * v != want:
@@ -183,24 +184,24 @@ def _count_rows(args):
 
 def _table_rows(args):
     lo, hi = _parse_range(args.n)
-    kind, k, h = args.kind, args.k, args.h
+    kind = args.kind
     if kind == "classnumber":
         rows = [(-m, arith.class_number(-m)) for m in _targets(lo, hi, 3) if m % 4 in (0, 3)]
+        if not rows:
+            raise ValueError(f"--n {lo}..{hi} holds no discriminant: |D| must be 0 or 3 mod 4")
         return {"table": "classnumber"}, rows, "exact", None
     if kind == "sigma":
         spec, f = {"table": "sigma", "a": args.a}, lambda n: arith.sigma_star(args.a, n)
-    elif kind == "chi" and k is None and h is None:
+    elif kind == "chi" and args.k is None and args.h is None:
         spec, f = {"table": "chi", "kind": "chi0"}, arith.chi0
-    elif kind == "chi":
-        if h is None:
-            raise ValueError("chi with --k needs --h")
-        if k is None:
-            raise ValueError("chi with --h needs --k")
-        spec, f = {"table": "chi", "k": k, "h": h}, lambda n: arith.chi_kh(k, h, n)
-    else:  # fkh
-        if k is None or h is None:
+    else:  # chi_kh or f_kh
+        k, h = args.k, args.h
+        if kind == "fkh" and (k is None or h is None):
             raise ValueError("fkh needs --k and --h")
-        spec, f = {"table": "fkh", "k": k, "h": h}, lambda n: arith.f_kh(k, h, n)
+        if k is None or h is None:
+            raise ValueError("chi with --k needs --h" if h is None else "chi with --h needs --k")
+        spec = {"table": kind, "k": k, "h": h}
+        f = (lambda n: arith.chi_kh(k, h, n)) if kind == "chi" else (lambda n: arith.f_kh(k, h, n))
     return spec, [(n, f(n)) for n in _targets(lo, hi, 1)], "exact", None
 
 
@@ -249,7 +250,9 @@ def _identity_rows(args):
             res = elliptic.identity_check("application1", A=args.A, B=args.B,
                                           C=args.C, D=args.D, r=args.r)
             params = f"A={args.A};B={args.B};C={args.C};D={args.D};r={_atom(float(args.r))}"
-        else:  # sinh
+        else:  # sinh: --k and --h pick eq69's character, which eq66 and eq67 do not have
+            if args.variant != "eq69" and (args.k is not None or args.h is not None):
+                raise ValueError(f"--variant {args.variant} takes no --k or --h: they set eq69's chi_kh")
             res = elliptic.sinh_identity_check(args.variant, args.x, k=args.k, h=args.h)
             params = f"variant={args.variant};x={_atom(args.x)}"
             if args.variant == "eq69":
@@ -262,11 +265,6 @@ def _identity_rows(args):
 # -- circle ------------------------------------------------------------------
 
 
-def _trunc(args):
-    return circle.TruncationSpec(n_cut=args.ncut, k_cut=args.kcut,
-                                 smooth_window=args.window)
-
-
 def _circle_rows(args):
     sub = args.op
     if args.verify == "oracle" and sub not in ("hardy", "rexp"):
@@ -277,14 +275,15 @@ def _circle_rows(args):
         spec = {"circle": "scan", "xmax": args.xmax, "step": args.step}
         header = "x,count,pi_x,R,R_scaled"
     elif sub == "hardy":
-        val = circle.hardy_sum(args.x, _trunc(args))
+        # hardy_sum reads no k_cut, so hardy takes no --kcut
+        val = circle.hardy_sum(args.x, circle.TruncationSpec(n_cut=args.ncut, smooth_window=args.window))
         if args.verify == "oracle":
             exact = circle.lattice_count(args.x)
             if abs(val - exact) > 0.3:
                 raise VerifyMismatch(f"hardy value {val:.6f} misses exact {exact} by more than 0.3")
         spec, rows = {"circle": "hardy", "x": args.x}, [(args.x, val)]
     elif sub == "rexp":
-        val = circle.R_expansion(args.x, args.N, _trunc(args))
+        val = circle.R_expansion(args.x, args.N, circle.TruncationSpec(args.ncut, args.kcut, args.window))
         if args.verify == "oracle":
             exact = circle.lattice_count(args.x) - math.pi * args.x
             if abs(val - exact) > 0.5:
@@ -302,86 +301,86 @@ def _circle_rows(args):
 # -- wiring ------------------------------------------------------------------
 
 
+_OUTPUT = {"out": {"default": None}, "format": {"choices": ("csv", "json"), "default": "csv"}}
+_VERIFY = {"verify": {"choices": ("oracle", "none"), "default": "none"}}
+
+# Each subcommand: its help, its row handler, the name its kind is stored
+# under, the flags all its kinds take, the settings of every other flag it
+# knows, and the flags each kind reads. A kind parses its own flags and the
+# shared ones only, so a flag of another kind is a usage error.
+_COMMANDS = {
+    "count": ("representation counts", _count_rows, "family", {
+        "n": {"default": "0..20", "help": "target range A..B or single N"}, **_OUTPUT, **_VERIFY}, {
+        "diag": {"help": "comma-separated quadratic coefficients"},
+        "lin": {"default": "0,0", "help": "comma-separated linear coefficients"},
+        "const": {"type": int, "default": 0},
+        "scale": {"type": int, "choices": (1, 2), "default": 1,
+                  "help": "divide the form value by this before matching n"},
+        "m": {"type": int, "default": 1},
+        "vars": {"type": int, "default": 4},
+        "domain": {"choices": ("lattice", "nonneg"), "default": "lattice"},
+        "nu": {"type": int, "default": 3},
+        "variant": {"choices": ("amended", "as-printed"), "default": "amended"},
+        "terms": {"help": "expmethod terms k1:h1,k2:h2"},
+        "method": {"choices": ("closed", "series"), "default": None},
+    }, {"quad": "diag scale method", "affine": "diag lin const scale", "tri": "m vars domain method",
+        "power": "nu", "cubic": "", "quintic": "variant", "expmethod": "terms"}),
+    "table": ("arithmetic tables", _table_rows, "kind", {
+        "n": {"default": "1..20", "help": "target range A..B or single N"}, **_OUTPUT}, {
+        "a": {"type": int, "default": 1},
+        "k": {"type": int, "default": None},
+        "h": {"type": int, "default": None},
+    }, {"sigma": "a", "chi": "k h", "classnumber": "", "fkh": "k h"}),
+    "theta": ("exact series coefficients", _theta_rows, "kind", _OUTPUT, {
+        "order": {"type": int, "default": 20},
+        "k": {"type": int, "default": None},
+        "h": {"type": int, "default": None},
+        "alt": {"action": "store_true", "help": "alternating signs (-1)^n on the lattice sum"},
+        "m": {"type": int, "default": None},
+    }, {"theta3": "order", "phi": "order", "psi": "order", "fneg": "order",
+        "general": "order k h alt", "triangular": "order m"}),
+    "identity": ("numeric identity residuals", _identity_rows, "which", _OUTPUT, {
+        "r": {"type": float, "default": 1.0},
+        "A": {"type": int, "default": 1},
+        "B": {"type": int, "default": 2},
+        "C": {"type": int, "default": 0},
+        "D": {"type": int, "default": 0},
+        "variant": {"choices": ("eq66", "eq67", "eq69"), "default": "eq66"},
+        "x": {"type": float, "default": 1.0},
+        "k": {"type": int, "default": None},
+        "h": {"type": int, "default": None},
+        "p": {"type": int, "default": 3},
+        "order": {"type": int, "default": 60},
+    }, {"jacobik": "r", "lambert": "r", "app1": "A B C D r", "sinh": "variant x k h",
+        "tripleproduct": "p order"}),
+    "circle": ("lattice-count scans and series diagnostics", _circle_rows, "op", {**_OUTPUT, **_VERIFY}, {
+        "xmax": {"type": float, "default": 100.0},
+        "step": {"type": float, "default": 1.0},
+        "x": {"type": float, "default": 2.5},
+        "N": {"type": int, "default": 1},
+        "z": {"type": float, "default": 1.0},
+        "h": {"type": float, "default": 0.0},
+        "M": {"type": int, "default": 1024},
+        "ncut": {"type": int, "default": 2000},
+        "kcut": {"type": int, "default": 2000},
+        "window": {"type": int, "default": 64},
+    }, {"scan": "xmax step", "hardy": "x ncut window", "rexp": "x N ncut kcut window", "fresnel": "z",
+        "dm": "h x M"}),
+}
+
+
 def _build_parser():
     p = _Parser(prog="qforms", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, rows, n_default=None, verify=True):
-        """The output flags every subcommand takes, --n where it reads a
-        range, --verify where it has an oracle, and its row handler."""
-        if n_default:
-            sp.add_argument("--n", default=n_default, help="target range A..B or single N")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if verify:
-            sp.add_argument("--verify", choices=("oracle", "none"), default="none")
-        sp.set_defaults(rows=rows)
-
-    pc = sub.add_parser("count", help="representation counts")
-    pc.add_argument("family", choices=("quad", "affine", "tri", "power",
-                                       "cubic", "quintic", "expmethod"))
-    pc.add_argument("--diag", help="comma-separated quadratic coefficients")
-    pc.add_argument("--lin", default="0,0", help="comma-separated linear coefficients")
-    pc.add_argument("--const", type=int, default=0)
-    pc.add_argument("--scale", type=int, choices=(1, 2), default=1,
-                    help="divide the form value by this before matching n")
-    pc.add_argument("--m", type=int, default=1)
-    pc.add_argument("--vars", type=int, default=4)
-    pc.add_argument("--domain", choices=("lattice", "nonneg"), default="lattice")
-    pc.add_argument("--nu", type=int, default=3)
-    pc.add_argument("--variant", choices=("amended", "as-printed"), default="amended")
-    pc.add_argument("--terms", help="expmethod terms k1:h1,k2:h2")
-    pc.add_argument("--method", choices=("closed", "series"), default=None)
-    common(pc, _count_rows, "0..20")
-
-    pt = sub.add_parser("table", help="arithmetic tables")
-    pt.add_argument("kind", choices=("sigma", "chi", "classnumber", "fkh"))
-    pt.add_argument("--a", type=int, default=1)
-    pt.add_argument("--k", type=int, default=None)
-    pt.add_argument("--h", type=int, default=None)
-    common(pt, _table_rows, "1..20", verify=False)
-
-    pth = sub.add_parser("theta", help="exact series coefficients")
-    pth.add_argument("kind", choices=("theta3", "phi", "psi", "fneg",
-                                      "general", "triangular"))
-    pth.add_argument("--order", type=int, default=20)
-    pth.add_argument("--k", type=int, default=None)
-    pth.add_argument("--h", type=int, default=None)
-    pth.add_argument("--alt", action="store_true",
-                     help="alternating signs (-1)^n on the lattice sum")
-    pth.add_argument("--m", type=int, default=None)
-    common(pth, _theta_rows, verify=False)
-
-    pi = sub.add_parser("identity", help="numeric identity residuals")
-    pi.add_argument("which", choices=("jacobik", "lambert", "app1", "sinh",
-                                      "tripleproduct"))
-    pi.add_argument("--r", type=float, default=1.0)
-    pi.add_argument("--A", type=int, default=1)
-    pi.add_argument("--B", type=int, default=2)
-    pi.add_argument("--C", type=int, default=0)
-    pi.add_argument("--D", type=int, default=0)
-    pi.add_argument("--variant", choices=("eq66", "eq67", "eq69"), default="eq66")
-    pi.add_argument("--x", type=float, default=1.0)
-    pi.add_argument("--k", type=int, default=None)
-    pi.add_argument("--h", type=int, default=None)
-    pi.add_argument("--p", type=int, default=3)
-    pi.add_argument("--order", type=int, default=60)
-    common(pi, _identity_rows, verify=False)
-
-    pci = sub.add_parser("circle", help="lattice-count scans and series diagnostics")
-    pci.add_argument("op", choices=("scan", "hardy", "rexp", "fresnel", "dm"))
-    pci.add_argument("--xmax", type=float, default=100.0)
-    pci.add_argument("--step", type=float, default=1.0)
-    pci.add_argument("--x", type=float, default=2.5)
-    pci.add_argument("--N", type=int, default=1)
-    pci.add_argument("--z", type=float, default=1.0)
-    pci.add_argument("--h", type=float, default=0.0)
-    pci.add_argument("--M", type=int, default=1024)
-    pci.add_argument("--ncut", type=int, default=2000)
-    pci.add_argument("--kcut", type=int, default=2000)
-    pci.add_argument("--window", type=int, default=64)
-    common(pci, _circle_rows)
+    for command, (summary, rows, dest, shared, flags, kinds) in _COMMANDS.items():
+        kind_parsers = sub.add_parser(command, help=summary).add_subparsers(dest=dest, required=True)
+        for kind, names in kinds.items():
+            # no abbreviations: `circle scan --x 5` must not read as --xmax 5
+            kp = kind_parsers.add_parser(kind, allow_abbrev=False)
+            for name, settings in [*shared.items(), *((f, flags[f]) for f in names.split())]:
+                kp.add_argument(f"--{name}", **settings)
+            kp.set_defaults(rows=rows)
     return p
 
 

@@ -183,6 +183,16 @@ REFUSALS = [
     (["table", "chi", "--k", "3", "--h", "1", "--n=-3..0"], "n_max must be >= 1"),
     (["table", "fkh", "--k", "3", "--h", "1", "--n", "0"], "n_max must be >= 1"),
     (["table", "classnumber", "--n", "1..2"], "n_max must be >= 3"),
+    # a window with targets but no discriminant
+    (["table", "classnumber", "--n", "5..6"], "--n 5..6 holds no discriminant: |D| must be 0 or 3 mod 4"),
+    (["table", "classnumber", "--n", "9..10", "--format", "json"],
+     "--n 9..10 holds no discriminant: |D| must be 0 or 3 mod 4"),
+    # --k and --h set eq69's character only
+    (["identity", "sinh", "--k", "2"], "--variant eq66 takes no --k or --h: they set eq69's chi_kh"),
+    (["identity", "sinh", "--variant", "eq66", "--h", "1"], "--variant eq66 takes no --k or --h: they set eq69's chi_kh"),
+    (["identity", "sinh", "--variant", "eq67", "--k", "2", "--h", "1"],
+     "--variant eq67 takes no --k or --h: they set eq69's chi_kh"),
+    (["identity", "sinh", "--variant", "eq67", "--h", "1"], "--variant eq67 takes no --k or --h: they set eq69's chi_kh"),
 ]
 
 
@@ -204,6 +214,105 @@ def test_windows_that_reach_the_least_target_keep_their_rows(argv, first, rows, 
     assert cli.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert (out[0], len(out)) == (first, rows)
+
+
+# -- each kind parses only the flags it reads ----------------------------------------
+
+# beside --out and --format, and --n (count, table) and --verify (count, circle)
+KIND_FLAGS = {
+    "count": {"quad": "diag scale method", "affine": "diag lin const scale", "tri": "m vars domain method",
+              "power": "nu", "cubic": "", "quintic": "variant", "expmethod": "terms"},
+    "table": {"sigma": "a", "chi": "k h", "classnumber": "", "fkh": "k h"},
+    "theta": {"theta3": "order", "phi": "order", "psi": "order", "fneg": "order",
+              "general": "order k h alt", "triangular": "order m"},
+    "identity": {"jacobik": "r", "lambert": "r", "app1": "A B C D r", "sinh": "variant x k h",
+                 "tripleproduct": "p order"},
+    "circle": {"scan": "xmax step", "hardy": "x ncut window", "rexp": "x N ncut kcut window",
+               "fresnel": "z", "dm": "h x M"},
+}
+# a value off the default for every kind flag of each subcommand (None: a switch)
+FLAG_VALUES = {
+    "count": {"diag": "1,2", "lin": "1,0", "const": "1", "scale": "2", "m": "2", "vars": "3",
+              "domain": "nonneg", "nu": "2", "variant": "as-printed", "terms": "3:-2", "method": "closed"},
+    "table": {"a": "2", "k": "5", "h": "2"},
+    "theta": {"order": "7", "k": "5", "h": "2", "alt": None, "m": "2"},
+    "identity": {"r": "2", "A": "3", "B": "1", "C": "8", "D": "4", "variant": "eq67", "x": "0.8",
+                 "k": "5", "h": "2", "p": "2", "order": "30"},
+    "circle": {"xmax": "10", "step": "0.5", "x": "3.5", "N": "2", "z": "1.5", "h": "0.2", "M": "512",
+               "ncut": "1000", "kcut": "1000", "window": "32"},
+}
+# each kind's default invocation, with the flags it cannot run without
+KIND_BASE = {
+    ("count", "quad"): ["--diag", "1,3", "--n", "0..10"],  # r(1, 1; 2n) = r(1, 1; n): scale 2 would change nothing
+    ("count", "affine"): ["--diag", "1,3", "--n", "0..10"],
+    ("count", "tri"): ["--n", "0..10"],
+    ("count", "power"): ["--n", "0..10"],
+    ("count", "cubic"): ["--n", "1..10"],
+    ("count", "quintic"): ["--n", "1..10"],
+    ("count", "expmethod"): ["--terms", "2:-1", "--n", "0..10"],
+    ("table", "chi"): ["--k", "3", "--h", "1"],
+    ("table", "fkh"): ["--k", "3", "--h", "1"],
+    ("theta", "general"): ["--k", "3", "--h", "1"],
+    ("theta", "triangular"): ["--m", "1"],
+    ("identity", "sinh"): ["--variant", "eq69", "--x", "0.7", "--k", "3", "--h", "1"],
+}
+KIND_VALUE = {("quad", "method"): "series"}  # quad on two coefficients defaults to closed
+
+FOREIGN = [(c, kind, f) for c, kinds in KIND_FLAGS.items() for kind, own in kinds.items()
+           for f in FLAG_VALUES[c] if f not in own.split()]
+DECLARED = [(c, kind, f) for c, kinds in KIND_FLAGS.items() for kind, own in kinds.items() for f in own.split()]
+
+
+def test_kind_flag_pairs_split_224_into_56_declared_and_168_foreign():
+    assert (len(DECLARED), len(FOREIGN)) == (56, 168)
+    for c, kinds in KIND_FLAGS.items():
+        assert {f for own in kinds.values() for f in own.split()} == set(FLAG_VALUES[c])
+
+
+def _flag(command, kind, flag):
+    value = KIND_VALUE.get((kind, flag), FLAG_VALUES[command][flag])
+    return [f"--{flag}"] + ([] if value is None else [value])
+
+
+@pytest.mark.parametrize("command,kind,flag", FOREIGN, ids=["-".join(t) for t in FOREIGN])
+def test_a_flag_of_another_kind_is_a_usage_error(command, kind, flag, capsys):
+    argv = [command, kind, *KIND_BASE.get((command, kind), []), *_flag(command, kind, flag)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: --{flag}" in err
+
+
+@pytest.mark.parametrize("command,kind,flag", DECLARED, ids=["-".join(t) for t in DECLARED])
+def test_every_declared_flag_changes_the_output_or_exit_code(command, kind, flag, capsys):
+    argv = [command, kind, *KIND_BASE.get((command, kind), [])]
+    runs = []
+    for extra in ([], _flag(command, kind, flag)):
+        code = cli.main([*argv, *extra])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0][0] == 0
+    assert runs[1] != runs[0]
+
+
+def test_a_flag_before_the_kind_is_a_usage_error(capsys):
+    assert cli.main(["count", "--n", "0..3", "cubic"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_an_abbreviated_flag_is_a_usage_error(capsys):
+    # circle scan --x would otherwise read as --xmax, count quad --m as --method
+    for argv in (["circle", "scan", "--x", "5"], ["count", "quad", "--diag", "1,1", "--m", "series"],
+                 ["table", "sigma", "--n", "1..3", "--form", "json"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", ["--k", "--h"])
+def test_sinh_reads_k_and_h_at_eq69(flag, capsys):
+    base = ["identity", "sinh", "--variant", "eq69", "--x", "0.7", "--k", "3", "--h", "1"]
+    assert cli.main(base) == 0
+    plain = capsys.readouterr().out
+    assert cli.main([*base, flag, "2" if flag == "--h" else "5"]) == 0
+    assert capsys.readouterr().out != plain
 
 
 def test_affine_range_reads_one_diagonal_table(monkeypatch, capsys):
