@@ -10,11 +10,11 @@ persistent oscillation of plain truncation.
 
 Four passes are made of independent tasks and spread over the CPUs the
 process may run on (_spread): the blocks of 2^16 rows of scan_columns, the
-20 grid points of scan_R's G sups, two row halves of every n-block of the
-P/Q sums, and two halves of hardy_sum's J_1 array.  Each task does the same
-operations in the same order at any CPU count, so every output is
-bit-identical to a one-CPU run and depends only on the inputs, never on
-scheduling.
+20 grid points of scan_R's G sups, two halves of n of every block of the
+P/Q sums, and two halves of hardy_sum's J_1 values, taken only at the n
+with r2(n) != 0.  Each task does the same operations in the same order at
+any CPU count, so every output is bit-identical to a one-CPU run and
+depends only on the inputs, never on scheduling.
 """
 
 from __future__ import annotations
@@ -237,7 +237,13 @@ def bessel_j1(x, method="series", N=3):
 
 def hardy_sum(x, spec=TruncationSpec()):
     """pi x + sqrt(x) sum_n r2(n) J_1(2 pi sqrt(nx))/sqrt(n), truncated at
-    n_cut and averaged over smooth_window consecutive cutoffs."""
+    n_cut and averaged over smooth_window consecutive cutoffs.
+
+    J_1 is evaluated only at the n with r2(n) != 0, about a quarter of the
+    n <= 10^5, in two halves that are tasks of _spread.  A zero term leaves
+    a running sum as it is, so the running sum of the nonzero terms, read
+    at the last nonzero n up to each cutoff, is bit for bit the running
+    sum over every n; it is read only at the cutoffs the window averages."""
     if not 0 < x < math.inf:
         raise ValueError("x must be positive")
     if float(x).is_integer():
@@ -245,13 +251,15 @@ def hardy_sum(x, spec=TruncationSpec()):
     from scipy.special import j1  # imported here: scipy is most of qforms' start-up
 
     try:
-        n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
-        bessel = np.empty_like(n)
+        r2 = r2_table(spec.n_cut)[1:]
     except (MemoryError, ValueError):
         raise ValueError(f"n_cut {spec.n_cut} is too large: its arrays cannot be allocated") from None
+    at = np.flatnonzero(r2)  # n - 1 for the n with r2(n) != 0; r2(1) = 4, so at[0] = 0
+    n = np.add(at, 1, dtype=np.float64)
+    bessel = np.empty_like(n)
 
     def j1_part(lo, hi):
-        def task(_):  # J_1(2 pi sqrt(n x)) over lo <= n - 1 < hi, in place in bessel
+        def task(_):  # J_1(2 pi sqrt(n x)) over the nonzero n of lo..hi - 1, in place in bessel
             part = bessel[lo:hi]
             np.multiply(n[lo:hi], x, out=part)
             np.sqrt(part, out=part)
@@ -259,80 +267,90 @@ def hardy_sum(x, spec=TruncationSpec()):
             j1(part, out=part)
         return task
 
-    half = (spec.n_cut + 1) // 2
-    weights, _ = _spread([j1_part(0, half), j1_part(half, spec.n_cut)], [None] * _threads(2),
-                         lambda: r2_table(spec.n_cut)[1:].astype(np.float64))
-    terms = weights / np.sqrt(n) * bessel
-    partials = math.pi * x + math.sqrt(x) * np.cumsum(terms)
+    half = (len(n) + 1) // 2
+    _spread([j1_part(0, half), j1_part(half, len(n))], [None] * _threads(2))
+    sums = np.cumsum(r2[at].astype(np.float64) / np.sqrt(n) * bessel)
+    cutoffs = np.arange(spec.n_cut - min(spec.smooth_window, spec.n_cut), spec.n_cut)
+    partials = math.pi * x + math.sqrt(x) * sums[np.searchsorted(at, cutoffs, side="right") - 1]
     return _window_mean(partials, spec.smooth_window)
 
 
 _TRIG = {"M": np.cos, "N": np.sin, "P": np.cos, "Q": np.sin}
 
 
-def _odd_k_setup(terms, k_cut, rows, slots):
-    """sqrt(k) over odd k <= k_cut, the weights (-1)^((k+1)/2)/k^s of each
-    (which, s) in terms, and `slots` sets of the buffers _odd_k_sums works
-    in, of `rows` rows each.  A k_cut whose arrays cannot be allocated is
-    refused here, before any work starts."""
+def _odd_k_setup(terms, k_cut, cols, slots):
+    """sqrt(k) over odd k <= k_cut and the weights (-1)^((k+1)/2)/k^s of
+    each (which, s) in terms, as columns, and `slots` sets of the buffers
+    _odd_k_terms works in, k-major: one row per odd k, `cols` columns.  A
+    k_cut whose arrays cannot be allocated is refused here, before any
+    work starts."""
     funcs = {_TRIG[which] for which, _ in terms}
     try:
-        k = np.arange(1, k_cut + 1, 2, dtype=np.float64)
+        k = np.arange(1, k_cut + 1, 2, dtype=np.float64)[:, None]
         sign = np.where((((k + 1) // 2) % 2).astype(bool), -1.0, 1.0)
         weights = [sign / k ** s for _, s in terms]
-        bufs = [[np.empty((rows, len(k))) for _ in range(len(funcs) + 1)] for _ in range(slots)]
+        bufs = [[np.empty((len(k), cols)) for _ in range(len(funcs) + 1)] for _ in range(slots)]
         return np.sqrt(k), weights, bufs
     except (MemoryError, ValueError):
         raise ValueError(f"k_cut {k_cut} is too large: its arrays of {(k_cut + 1) // 2} "
                          "odd k cannot be allocated") from None
 
 
-def _odd_k_sums(terms, a, b_col, root_k, weights, bufs):
-    """Partial sums over odd k of (-1)^((k+1)/2) trig(a + b sqrt(k))/k^s for
-    every b of the column b_col, trig being cos for M/P and sin for N/Q:
-    yields (t, sums) for the t-th (which, s) of terms, sums being a
-    (len(b_col), #odd k) array that the next term overwrites.  The phase
-    and each trig array the terms need are computed once, in bufs from
-    _odd_k_setup (the last trig in place over the phase); nothing is
-    allocated."""
-    phase, *trig_bufs, acc = (buf[:len(b_col)] for buf in bufs)
-    np.multiply(b_col, root_k, out=phase)
+def _odd_k_terms(terms, a, b_row, root_k, weights, bufs):
+    """The terms (-1)^((k+1)/2) trig(a + b sqrt(k))/k^s over odd k (down
+    axis 0) for every b of b_row (across axis 1), trig being cos for M/P
+    and sin for N/Q: yields (t, terms) for the t-th (which, s) of terms,
+    in a buffer that the next term overwrites.  The phase and each trig
+    array the terms need are computed once, in bufs from _odd_k_setup (the
+    last trig in place over the phase); nothing is allocated."""
+    phase, *trig_bufs, acc = (buf[:, :len(b_row)] for buf in bufs)
+    np.multiply(root_k, b_row, out=phase)
     np.add(a, phase, out=phase)
     funcs = list(dict.fromkeys(_TRIG[which] for which, _ in terms))
     for f, out in zip(funcs, [*trig_bufs, phase]):
         trig = f(phase, out=out)
         for t, (which, _) in enumerate(terms):
             if _TRIG[which] is f:
-                np.multiply(trig, weights[t], out=acc)
-                yield t, np.cumsum(acc, axis=1, out=acc)
+                yield t, np.multiply(trig, weights[t], out=acc)
+
+
+def _column_sums(acc, out):
+    """The sum down axis 0 of every column of acc, added in k order, into
+    out.  Over two columns or more np.add.reduce adds each column row by
+    row; one column it would sum pairwise, so there the sum is the last
+    entry of a running sum, which adds in k order too."""
+    if acc.shape[1] > 1:
+        np.add.reduce(acc, axis=0, out=out)
+    else:
+        out[0] = np.cumsum(acc, axis=0, out=acc)[-1, 0]
 
 
 def _pq_sums(terms, a, b, spec):
     """Truncated P_s (which "P") and Q_s (which "Q") for every (which, s)
     in terms: inner sums over odd k at b sqrt(n) for n <= n_cut, in blocks
     of about 4,000,000 phases, each block's phase evaluated once for all
-    terms.  A block's two row halves run as two tasks of _spread."""
+    terms.  A block's two halves of n run as two tasks of _spread, and each
+    writes its inner sums as the column sums of its terms (_column_sums)."""
     block = max(1, 4_000_000 // max(1, spec.k_cut // 2))
-    rows = min(block, spec.n_cut)
+    cols = min(block, spec.n_cut)
     try:
         n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
-        b_col = (b * np.sqrt(n))[:, None]
+        b_row = b * np.sqrt(n)
         inner = np.empty((len(terms), spec.n_cut), dtype=np.float64)
     except (MemoryError, ValueError):
         raise ValueError(f"n_cut {spec.n_cut} is too large: its arrays cannot be allocated") from None
-    root_k, weights, slots = _odd_k_setup(terms, spec.k_cut, (rows + 1) // 2, _threads(min(rows, 2)))
+    root_k, weights, slots = _odd_k_setup(terms, spec.k_cut, (cols + 1) // 2, _threads(min(cols, 2)))
 
-    def rows_task(lo, hi):
+    def half(lo, hi):
         def task(bufs):
-            for t, sums in _odd_k_sums(terms, a, b_col[lo:hi], root_k, weights, bufs):
-                inner[t, lo:hi] = sums[:, -1]
+            for t, acc in _odd_k_terms(terms, a, b_row[lo:hi], root_k, weights, bufs):
+                _column_sums(acc, inner[t, lo:hi])
         return task
 
     for lo in range(0, spec.n_cut, block):
         hi = min(lo + block, spec.n_cut)
         mid = (lo + hi + 1) // 2
-        _spread([rows_task(lo, mid), rows_task(mid, hi)] if hi - lo > 1 else [rows_task(lo, hi)],
-                slots)
+        _spread([half(lo, mid), half(mid, hi)] if hi - lo > 1 else [half(lo, hi)], slots)
     return [_window_mean(np.cumsum(row / n ** s), spec.smooth_window)
             for row, (_, s) in zip(inner, terms)]
 
@@ -344,8 +362,8 @@ def oscillatory_sum(which, s, a, b, spec=TruncationSpec()):
     smooth_window outer partial sums."""
     if which in ("M", "N"):
         root_k, weights, (bufs,) = _odd_k_setup([(which, s)], spec.k_cut, 1, 1)
-        ((_, partials),) = _odd_k_sums([(which, s)], a, np.array([[float(b)]]), root_k, weights, bufs)
-        return _window_mean(partials[0], spec.smooth_window)
+        ((_, acc),) = _odd_k_terms([(which, s)], a, np.array([float(b)]), root_k, weights, bufs)
+        return _window_mean(np.cumsum(acc, axis=0, out=acc)[:, 0], spec.smooth_window)
     if which in ("P", "Q"):
         return _pq_sums([(which, s)], a, b, spec)[0]
     raise ValueError(f"unknown oscillatory sum {which!r}")

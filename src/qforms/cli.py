@@ -32,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a flag no parser knows is refused by the innermost one, the kind's,
+        # with its usage: argparse would hand it up to the top-level parser
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _parse_range(text):
     """'A..B' inclusive, or a single 'N'."""
@@ -369,12 +377,18 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+def _build_parser(argv):
+    """The parser of every command, with the kind parsers of the command argv
+    names only (its first token that is not an option): no other is read."""
+    named = next((a for a in argv if not a.startswith("-")), None)
     p = _Parser(prog="qforms", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
     for command, (summary, rows, dest, shared, flags, kinds) in _COMMANDS.items():
-        kind_parsers = sub.add_parser(command, help=summary).add_subparsers(dest=dest, required=True)
+        command_parser = sub.add_parser(command, help=summary)
+        if command != named:
+            continue
+        kind_parsers = command_parser.add_subparsers(dest=dest, required=True)
         for kind, names in kinds.items():
             # no abbreviations: `circle scan --x 5` must not read as --xmax 5
             kp = kind_parsers.add_parser(kind, allow_abbrev=False)
@@ -385,7 +399,7 @@ def _build_parser():
 
 
 def run(argv):
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     return _emit(args, *args.rows(args))
 
 

@@ -226,6 +226,38 @@ def test_hardy_window_average_beats_plain_truncation_in_sup():
     assert errs[64] <= errs[1]
 
 
+def _hardy_reference(x, spec):
+    """hardy_sum as a dense pass computes it: J_1 at every n <= n_cut, zero
+    weights included, and the running sum at every cutoff."""
+    n = np.arange(1, spec.n_cut + 1, dtype=np.float64)
+    bessel = scipy.special.j1(2 * math.pi * np.sqrt(n * x))
+    terms = r2_table(spec.n_cut)[1:].astype(np.float64) / np.sqrt(n) * bessel
+    return _window_mean(math.pi * x + math.sqrt(x) * np.cumsum(terms), spec.smooth_window)
+
+
+@pytest.mark.parametrize("n_cut,window", [(n_cut, w) for n_cut in (1, 2, 63, 64, 65, 1000, 10**5)
+                                           for w in (1, 3, 64) if w <= n_cut])
+def test_hardy_sum_equals_its_dense_formula(n_cut, window):
+    spec = TruncationSpec(n_cut, 10, window)
+    for x in (2.5, 13.37, 1000.7):
+        assert hardy_sum(x, spec) == _hardy_reference(x, spec)
+
+
+def test_hardy_sum_evaluates_j1_only_where_r2_is_nonzero(monkeypatch):
+    # 24,028 of the n <= 10^5 are sums of two squares
+    seen, real_j1 = [], scipy.special.j1
+
+    def j1(z, out=None):
+        seen.append(len(z))
+        return real_j1(z, out=out)
+
+    monkeypatch.setattr(scipy.special, "j1", j1)
+    for n_cut, nonzero in ((1, 1), (2, 2), (3, 2), (10**5, 24028)):
+        seen.clear()
+        hardy_sum(13.37, TruncationSpec(n_cut, 10, 1))
+        assert sum(seen) == nonzero == int(np.count_nonzero(r2_table(n_cut)[1:]))
+
+
 # -- oscillatory sums -----------------------------------------------------------------------
 
 
@@ -303,6 +335,25 @@ def test_R_expansion_equals_its_term_by_term_formula(N):
     assert R_expansion(25.3, N, big) == _R_expansion_reference(25.3, N, big)
     for x in (2.5, 25.3, 1000.7):
         assert R_expansion(x, N, tiny) == _R_expansion_reference(x, N, tiny)
+
+
+# n_cut of 1 to 3 gives P/Q blocks of one or two columns; numpy would sum
+# a one-column block pairwise, and k_cut 500 has enough odd k to differ
+FEW_ROWS = [TruncationSpec(n_cut, k_cut, w) for n_cut in (1, 2, 3) for k_cut in (16, 500)
+            for w in sorted({1, n_cut})]
+
+
+@pytest.mark.parametrize("spec", FEW_ROWS, ids=[f"{s.n_cut}-{s.k_cut}-{s.smooth_window}" for s in FEW_ROWS])
+def test_pq_sums_of_one_or_two_columns_equal_their_one_term_formulas(spec):
+    a, b = math.pi / 4, 2 * math.pi * math.sqrt(25.3)
+    for which in "PQ":
+        for s in (0.75, 1.25):
+            assert oscillatory_sum(which, s, a, b, spec) == _oscillatory_reference(which, s, a, b, spec)
+    odd_p = TruncationSpec(spec.n_cut, 2 * spec.k_cut, spec.smooth_window)
+    for x in (2.5, 25.3):
+        assert S_sum(x, spec) == -_oscillatory_reference("P", 0.75, math.pi / 4, 2 * math.pi * math.sqrt(x), odd_p)
+        for N in (0, 2):
+            assert R_expansion(x, N, spec) == _R_expansion_reference(x, N, spec)
 
 
 def test_oscillatory_sum_unknown_kind():
@@ -652,13 +703,16 @@ def test_dense_scan_sup_regression():
 # (halves of 151 and 150), and blocks of 5, 5 and 1 with 750,000 odd k.
 ODD_ROWS = [TruncationSpec(301, 999, 17), TruncationSpec(11, 1_500_000, 3)]
 
+# Halves of two columns and one column, the second summed as a running sum.
+THREE_ROWS = TruncationSpec(3, 500, 3)
+
 CPU_CASES = {
     "scan_R[1e6]": lambda: scan_R(10**6, 1.0, collect_rows=False).summary,
     "scan_R[300,0.7]": lambda: scan_R(300, 0.7, 0.2),
-    "R_expansion": lambda: [R_expansion(25.3, 3, spec) for spec in SPECS + ODD_ROWS[:1]],
-    "S_sum": lambda: [S_sum(x, spec) for spec in SPECS + ODD_ROWS[:1] for x in (2.5, 25.3)],
+    "R_expansion": lambda: [R_expansion(25.3, 3, spec) for spec in SPECS + ODD_ROWS[:1] + [THREE_ROWS]],
+    "S_sum": lambda: [S_sum(x, spec) for spec in SPECS + ODD_ROWS[:1] + [THREE_ROWS] for x in (2.5, 25.3)],
     "oscillatory_sum": lambda: [oscillatory_sum(which, 1.25, 0.7, 3.1, spec)
-                                for spec in SPECS + ODD_ROWS for which in "PQ"],
+                                for spec in SPECS + ODD_ROWS + [THREE_ROWS] for which in "PQ"],
     "hardy_sum": lambda: [hardy_sum(13.37), hardy_sum(2.5, TruncationSpec(100001, 10, 64))],
     # four blocks, the last of five rows; and a step whose floors repeat and
     # skip values across the block edges

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, and determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -280,6 +281,7 @@ def test_a_flag_of_another_kind_is_a_usage_error(command, kind, flag, capsys):
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and f"unrecognized arguments: --{flag}" in err
+    assert err.startswith(f"usage: qforms {command} {kind} ")  # the kind's usage, not the top-level one
 
 
 @pytest.mark.parametrize("command,kind,flag", DECLARED, ids=["-".join(t) for t in DECLARED])
@@ -553,6 +555,28 @@ def test_help_exits_0():
     assert run_cli("--help").returncode == 0
     for command in ("count", "table", "theta", "identity", "circle"):
         assert run_cli(command, "--help").returncode == 0
+
+
+def test_help_lists_every_command_and_kind(capsys):
+    # the parser builds the kind parsers of the command argv names only
+    assert cli.main(["--help"]) == 0
+    assert "{count,table,theta,identity,circle}" in capsys.readouterr().out
+    for command, (*_, kinds) in cli._COMMANDS.items():
+        assert cli.main([command, "--help"]) == 0
+        assert "{" + ",".join(kinds) + "}" in capsys.readouterr().out
+
+
+def _sub_parsers(parser):
+    """parser's sub-parsers by name, or None if it has none."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else None
+
+
+def test_only_the_named_command_builds_its_kind_parsers():
+    commands = _sub_parsers(cli._build_parser(["circle", "hardy", "--x", "2.5"]))
+    assert {c: _sub_parsers(p) and sorted(_sub_parsers(p)) for c, p in commands.items()} == {
+        "count": None, "table": None, "theta": None, "identity": None,
+        "circle": ["dm", "fresnel", "hardy", "rexp", "scan"]}
 
 
 # -- output plumbing ----------------------------------------------------------------
