@@ -15,6 +15,12 @@ P/Q sums, and two halves of hardy_sum's J_1 values, taken only at the n
 with r2(n) != 0.  Each task does the same operations in the same order at
 any CPU count, so every output is bit-identical to a one-CPU run and
 depends only on the inputs, never on scheduling.
+
+hardy_sum keeps what of it does not depend on x, the n <= n_cut with
+r2(n) != 0 and their weights, for one n_cut at a time: about 5.8 bytes per
+unit of n_cut (0.58 MB at 10^5), until a call at another n_cut or
+_hardy_support.cache_clear().  A sweep over x under one truncation sieves
+r2 once.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ class ScanResult:
 def lattice_count(x):
     """#{(i,j) in Z^2 : i^2 + j^2 <= x}, exactly; the <= test is done in
     integer/rational arithmetic, never on floats."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not 0 <= x < math.inf:  # NaN too
+        raise ValueError("x must be nonnegative and finite")
     X = Fraction(x)
     top = math.floor(X)
     total = 0
@@ -213,7 +219,9 @@ def bessel_j1(x, method="series", N=3):
     """J_1(x).  'series' is mpmath's besselj, which raises its working
     precision past the cancellation of the power series at large x, rounded
     to a float; 'asymptotic' evaluates the large-x cosine/sine expansion
-    with c1-coefficient sums truncated at N."""
+    with c1-coefficient sums truncated at N >= 0."""
+    if not x < math.inf:  # NaN too
+        raise ValueError("x must be finite")
     if method == "series":
         if x < 0:
             raise ValueError("x must be nonnegative")
@@ -225,6 +233,8 @@ def bessel_j1(x, method="series", N=3):
     if method == "asymptotic":
         if x <= 0:
             raise ValueError("asymptotic form needs x > 0")
+        if N < 0:
+            raise ValueError("N must be nonnegative")
         cos_sum = math.fsum((-1) ** n * float(c1(2 * n)) / (2 * x) ** (2 * n)
                             for n in range(N + 1))
         sin_sum = math.fsum((-1) ** n * float(c1(2 * n + 1)) / (2 * x) ** (2 * n + 1)
@@ -235,6 +245,24 @@ def bessel_j1(x, method="series", N=3):
     raise ValueError(f"unknown method {method!r}")
 
 
+@lru_cache(maxsize=1)  # an x-sweep under one truncation sieves r2 once
+def _hardy_support(n_cut):
+    """hardy_sum's arrays that do not depend on x, read-only: the indices
+    n - 1 of the n <= n_cut with r2(n) != 0 (r2(1) = 4, so the first is 0),
+    those n as floats, and r2(n)/sqrt(n) at each.  An n_cut whose arrays
+    cannot be allocated is refused here; lru_cache keeps no refusal."""
+    try:
+        r2 = r2_table(n_cut)[1:]
+        at = np.flatnonzero(r2 != 0)
+        n = np.add(at, 1, dtype=np.float64)
+        weight = r2[at].astype(np.float64) / np.sqrt(n)
+    except (MemoryError, ValueError):
+        raise ValueError(f"n_cut {n_cut} is too large: its arrays cannot be allocated") from None
+    for arr in (at, n, weight):
+        arr.setflags(write=False)
+    return at, n, weight
+
+
 def hardy_sum(x, spec=TruncationSpec()):
     """pi x + sqrt(x) sum_n r2(n) J_1(2 pi sqrt(nx))/sqrt(n), truncated at
     n_cut and averaged over smooth_window consecutive cutoffs.
@@ -243,19 +271,20 @@ def hardy_sum(x, spec=TruncationSpec()):
     n <= 10^5, in two halves that are tasks of _spread.  A zero term leaves
     a running sum as it is, so the running sum of the nonzero terms, read
     at the last nonzero n up to each cutoff, is bit for bit the running
-    sum over every n; it is read only at the cutoffs the window averages."""
+    sum over every n; it is read only at the cutoffs the window averages.
+
+    Those n and their weights r2(n)/sqrt(n) do not depend on x: they are
+    kept (_hardy_support) for one n_cut, until a call at another n_cut or
+    _hardy_support.cache_clear(), in about 5.8 bytes per unit of n_cut
+    (0.58 MB at 10^5).  So each further x under the same n_cut costs only
+    its J_1 pass.  Nothing that depends on x is kept."""
     if not 0 < x < math.inf:
         raise ValueError("x must be positive")
     if float(x).is_integer():
         raise ValueError("integer x sits on a jump of the lattice count")
     from scipy.special import j1  # imported here: scipy is most of qforms' start-up
 
-    try:
-        r2 = r2_table(spec.n_cut)[1:]
-    except (MemoryError, ValueError):
-        raise ValueError(f"n_cut {spec.n_cut} is too large: its arrays cannot be allocated") from None
-    at = np.flatnonzero(r2)  # n - 1 for the n with r2(n) != 0; r2(1) = 4, so at[0] = 0
-    n = np.add(at, 1, dtype=np.float64)
+    at, n, weight = _hardy_support(spec.n_cut)
     bessel = np.empty_like(n)
 
     def j1_part(lo, hi):
@@ -269,7 +298,7 @@ def hardy_sum(x, spec=TruncationSpec()):
 
     half = (len(n) + 1) // 2
     _spread([j1_part(0, half), j1_part(half, len(n))], [None] * _threads(2))
-    sums = np.cumsum(r2[at].astype(np.float64) / np.sqrt(n) * bessel)
+    sums = np.cumsum(weight * bessel)
     cutoffs = np.arange(spec.n_cut - min(spec.smooth_window, spec.n_cut), spec.n_cut)
     partials = math.pi * x + math.sqrt(x) * sums[np.searchsorted(at, cutoffs, side="right") - 1]
     return _window_mean(partials, spec.smooth_window)
@@ -402,8 +431,8 @@ def S_sum(x, spec=TruncationSpec()):
     """Double (n,l) form of the scaled error series: sum over n and odd
     p = 2l-1 of (-1)^(l-1) cos(2 pi sqrt(npx) + pi/4) / (np)^(3/4), that is
     -P_(3/4)(pi/4, 2 pi sqrt(x)) over the first k_cut odd p."""
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:  # NaN too
+        raise ValueError("x must be positive and finite")
     odd_p = TruncationSpec(spec.n_cut, 2 * spec.k_cut, spec.smooth_window)
     return -_pq_sums([("P", 0.75)], math.pi / 4, 2 * math.pi * math.sqrt(x), odd_p)[0]
 
@@ -467,9 +496,9 @@ def fresnel_closed_sum(a, M):
     """Closed Fresnel form of the Abel-summation evaluation of
     G(0, a, M); exact only for the continuous mass t^2, so it tracks the
     direct sum within an O(sqrt(a)) envelope rather than equaling it."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if M < 1:
+    if not 0 < a < math.inf:  # NaN too
+        raise ValueError("a must be positive and finite")
+    if not M >= 1:
         raise ValueError("M must be positive")
     fc1, fs1 = fresnel(2 * a ** 0.25)
     fcm, fsm = fresnel(2 * (a * M) ** 0.25)
@@ -500,8 +529,8 @@ def _em_phase(a, t):
 def euler_maclaurin_residual(a, M):
     """|Euler-Maclaurin defect| for F(t) = cos(2 pi sqrt(at) + pi/4)/sqrt(t),
     using the exact antiderivative sin(2 pi sqrt(at) + pi/4)/(pi sqrt(a))."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:  # NaN too
+        raise ValueError("a must be positive and finite")
     sa = math.sqrt(a)
 
     def F(t):
@@ -521,8 +550,8 @@ def euler_maclaurin_f4_bound(a, M):
     """(1/120) sum over unit intervals of an upper envelope of |F''''|;
     each of the five terms of F'''' decays in t, so its value at the left
     endpoint bounds the interval."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:  # NaN too
+        raise ValueError("a must be positive and finite")
     if M < 2:
         raise ValueError("M must be at least 2")
     pi = math.pi

@@ -25,8 +25,8 @@ from qforms.circle import (G, R_expansion, S_sum, ScanRow, TruncationSpec, besse
                            euler_maclaurin_f4_bound, euler_maclaurin_residual,
                            fresnel, fresnel_closed_sum, g_running_sup,
                            hardy_sum, lattice_count, oscillatory_sum,
-                           r2_table, scan_R, scan_columns, _count_below, _r2_segment,
-                           _window_mean)
+                           r2_table, scan_R, scan_columns, _count_below, _hardy_support,
+                           _r2_segment, _window_mean)
 from qforms.repcount import r2
 
 
@@ -192,6 +192,19 @@ def test_j1_asymptotic_rejects_zero():
         bessel_j1(1.0, "nope")
 
 
+@pytest.mark.parametrize("x,method,N,msg", [
+    # with N < 0 both c1 sums are empty: 0.0 where J_1(10) = 0.0435
+    (10.0, "asymptotic", -1, "N must be nonnegative"),
+    (math.nan, "series", 3, "x must be finite"),
+    (math.inf, "series", 3, "x must be finite"),
+    (math.nan, "asymptotic", 3, "x must be finite"),
+    (math.inf, "asymptotic", 3, "x must be finite"),
+])
+def test_j1_parameter_domains(x, method, N, msg):
+    with pytest.raises(ValueError, match=msg):
+        bessel_j1(x, method, N)
+
+
 # -- Hardy's series ---------------------------------------------------------------------
 
 
@@ -235,8 +248,10 @@ def _hardy_reference(x, spec):
     return _window_mean(math.pi * x + math.sqrt(x) * np.cumsum(terms), spec.smooth_window)
 
 
-@pytest.mark.parametrize("n_cut,window", [(n_cut, w) for n_cut in (1, 2, 63, 64, 65, 1000, 10**5)
-                                           for w in (1, 3, 64) if w <= n_cut])
+HARDY_GRID = [(n_cut, w) for n_cut in (1, 2, 63, 64, 65, 1000, 10**5) for w in (1, 3, 64) if w <= n_cut]
+
+
+@pytest.mark.parametrize("n_cut,window", HARDY_GRID)
 def test_hardy_sum_equals_its_dense_formula(n_cut, window):
     spec = TruncationSpec(n_cut, 10, window)
     for x in (2.5, 13.37, 1000.7):
@@ -244,7 +259,8 @@ def test_hardy_sum_equals_its_dense_formula(n_cut, window):
 
 
 def test_hardy_sum_evaluates_j1_only_where_r2_is_nonzero(monkeypatch):
-    # 24,028 of the n <= 10^5 are sums of two squares
+    # 24,028 of the n <= 10^5 are sums of two squares; a second call at the
+    # same n_cut reads the kept support and still evaluates J_1 at all of them
     seen, real_j1 = [], scipy.special.j1
 
     def j1(z, out=None):
@@ -253,9 +269,47 @@ def test_hardy_sum_evaluates_j1_only_where_r2_is_nonzero(monkeypatch):
 
     monkeypatch.setattr(scipy.special, "j1", j1)
     for n_cut, nonzero in ((1, 1), (2, 2), (3, 2), (10**5, 24028)):
-        seen.clear()
-        hardy_sum(13.37, TruncationSpec(n_cut, 10, 1))
-        assert sum(seen) == nonzero == int(np.count_nonzero(r2_table(n_cut)[1:]))
+        for x in (13.37, 2.5):
+            seen.clear()
+            hardy_sum(x, TruncationSpec(n_cut, 10, 1))
+            assert sum(seen) == nonzero == int(np.count_nonzero(r2_table(n_cut)[1:]))
+
+
+def test_hardy_sum_is_the_same_cold_warm_and_after_eviction():
+    def hexes(spec):
+        return [float.hex(hardy_sum(x, spec)) for x in (2.5, 13.37, 1000.7)]
+
+    for n_cut, window in HARDY_GRID:
+        spec = TruncationSpec(n_cut, 10, window)
+        _hardy_support.cache_clear()
+        cold = hexes(spec)
+        assert hexes(spec) == cold, spec
+        hardy_sum(2.5, TruncationSpec(n_cut + 1, 10, 1))  # evicts n_cut's support
+        assert _hardy_support.cache_info().currsize == 1
+        assert hexes(spec) == cold, spec
+
+
+def test_hardy_support_refuses_writes_and_r2_table_does_not():
+    at, n, weight = _hardy_support(1000)
+    for arr in (at, n, weight):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    table = r2_table(1000)
+    table[0] = 7  # the public table is the caller's own, uncached
+    assert r2_table(1000)[0] == 1
+
+
+def test_hardy_support_keeps_no_refusal(monkeypatch):
+    def r2_table(n_max):
+        raise MemoryError
+
+    _hardy_support.cache_clear()
+    monkeypatch.setattr(qforms.circle, "r2_table", r2_table)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="n_cut 1234 is too large"):
+            hardy_sum(2.5, TruncationSpec(1234, 10, 1))
+        assert _hardy_support.cache_info().currsize == 0
 
 
 # -- oscillatory sums -----------------------------------------------------------------------
@@ -454,6 +508,20 @@ def test_G_parameter_domains():
         with pytest.raises(ValueError, match="n x passes the float range"):
             fn(0.0, 1e308, 5)
     assert abs(G(0.0, 1e308, 1) - math.cos(2 * math.pi * math.sqrt(1e308) + math.pi / 4)) < 1e-15
+
+
+def test_circle_parameter_domains_catch_nan_and_inf():
+    # NaN passes a plain `a <= 0` check, after which the sums come out nan or
+    # fail with an unrelated message; lattice_count(inf) would raise OverflowError
+    for fn, rest, name in ((lattice_count, (), "x"), (S_sum, (), "x"),
+                           (euler_maclaurin_residual, (10,), "a"),
+                           (euler_maclaurin_f4_bound, (10,), "a"),
+                           (fresnel_closed_sum, (10,), "a")):
+        for v in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                fn(v, *rest)
+    with pytest.raises(ValueError, match="M must be positive"):
+        fresnel_closed_sum(1.5, math.nan)
 
 
 def test_G_is_one_correctly_rounded_sum_across_blocks():
@@ -744,7 +812,9 @@ def test_results_do_not_depend_on_the_cpu_count(case, cpus, monkeypatch):
 
 
 def test_workers_call_no_public_circle_function(monkeypatch):
-    # a tracer that wraps the public functions keeps one span stack
+    # a tracer that wraps the public functions keeps one span stack; hardy_sum
+    # calls r2_table only when its support for the default n_cut is not kept
+    _hardy_support.cache_clear()
     calls = []
     for name, fn in list(vars(qforms.circle).items()):
         if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == "qforms.circle":
